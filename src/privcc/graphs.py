@@ -38,7 +38,7 @@ __all__ = [
     "disagreement_cut_form",
     "neighbor_distance",
     "split_signs",
-    "cut_weight_once",
+    "cut_sums",
 ]
 
 
@@ -53,6 +53,14 @@ class SizeRefusal(RuntimeError):
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _symmetric(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Dense symmetric n-by-n matrix with ``w`` scattered onto pairs (u, v)."""
+    m = np.zeros((n, n))
+    m[u, v] = w
+    m[v, u] = w
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +229,7 @@ class SignedGraph:
     def channel_matrix(self, sign: int) -> np.ndarray:
         """Dense symmetric n-by-n weight matrix of one sign channel."""
         w = self.pos_w if sign == 1 else self.neg_w
-        m = np.zeros((self.n, self.n))
-        m[self.pair_u, self.pair_v] = w
-        m[self.pair_v, self.pair_u] = w
-        return m
+        return _symmetric(self.n, self.pair_u, self.pair_v, w)
 
     def channel_flat(self, sign: int) -> np.ndarray:
         """Flat canonical-order channel weights over all C(n,2) pairs."""
@@ -363,11 +368,9 @@ class WeightedChannel:
         return cls(n, m[pu, pv])
 
     def matrix(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
+        """Dense symmetric n-by-n matrix of the pair values."""
         pu, pv = np.triu_indices(self.n, 1)
-        out[pu, pv] = self.values
-        out[pv, pu] = self.values
-        return out
+        return _symmetric(self.n, pu, pv, self.values)
 
     def __repr__(self) -> str:
         return f"WeightedChannel(n={self.n})"
@@ -469,16 +472,17 @@ def signed_cut_weight(graph: SignedGraph, s, t, sign: int) -> float:
     return float(w[in_cut].sum())
 
 
-def cut_weight_once(matrix: np.ndarray, s_mask: np.ndarray, t_mask: np.ndarray) -> float:
-    """Counted-once cut value of a symmetric pair-weight matrix.
+def cut_sums(matrix: np.ndarray, s_rows: np.ndarray, t_rows: np.ndarray) -> np.ndarray:
+    """Counted-once cut sums of a symmetric matrix for every (S, T) row.
 
-    Equals ``s' M t - (r' M r) / 2`` with r the indicator of the overlap,
-    which counts every unordered pair meeting the cut exactly once.
+    ``s_rows`` and ``t_rows`` are boolean (rows, n) masks.  Row i gets
+    ``s' M t - (r' M r) / 2`` with r the overlap of S and T, which counts
+    every unordered pair meeting the cut exactly once.
     """
-    s = s_mask.astype(np.float64)
-    t = t_mask.astype(np.float64)
-    r = (s_mask & t_mask).astype(np.float64)
-    return float(s @ matrix @ t - 0.5 * (r @ matrix @ r))
+    s = s_rows.astype(np.float64)
+    t = t_rows.astype(np.float64)
+    r = (s_rows & t_rows).astype(np.float64)
+    return ((s @ matrix) * t).sum(axis=1) - 0.5 * ((r @ matrix) * r).sum(axis=1)
 
 
 def disagreement_cut_form(clustering: Clustering, graph: SignedGraph) -> float:

@@ -17,7 +17,7 @@ Three stages, privacy carried entirely by the first:
    probability ``x_e``.
 
 Stages 2 and 3 never see the input graph; their signatures only accept
-the released channels, so anything они compute is post-processing.
+the released channels, so anything they compute is post-processing.
 
 The merge solver is projected subgradient descent on the maximum
 violation.  Steps project onto the violated constraint's halfspace
@@ -40,6 +40,7 @@ from .graphs import (
     ReleaseOutput,
     SignedGraph,
     WeightedChannel,
+    cut_sums,
 )
 
 __all__ = [
@@ -144,14 +145,6 @@ def _sample_set_pairs(n: int, budget: int, rng: np.random.Generator):
     return s_rows, t_rows
 
 
-def _cut_stats(matrix: np.ndarray, s_rows: np.ndarray, t_rows: np.ndarray) -> np.ndarray:
-    """Counted-once cut sums of a symmetric matrix for every (S, T) row."""
-    s = s_rows.astype(np.float64)
-    t = t_rows.astype(np.float64)
-    r = (s_rows & t_rows).astype(np.float64)
-    return ((s @ matrix) * t).sum(axis=1) - 0.5 * ((r @ matrix) * r).sum(axis=1)
-
-
 def _cut_sizes(n: int, s_rows: np.ndarray, t_rows: np.ndarray) -> np.ndarray:
     ssz = s_rows.sum(axis=1).astype(np.float64)
     tsz = t_rows.sum(axis=1).astype(np.float64)
@@ -159,56 +152,12 @@ def _cut_sizes(n: int, s_rows: np.ndarray, t_rows: np.ndarray) -> np.ndarray:
     return ssz * tsz - 0.5 * rsz * (rsz + 1.0)
 
 
-def _sym(n: int, flat: np.ndarray) -> np.ndarray:
-    out = np.zeros((n, n))
-    iu, iv = np.triu_indices(n, 1)
-    out[iu, iv] = flat
-    out[iv, iu] = flat
-    return out
-
-
-def _max_violation(
-    x_mat: np.ndarray,
-    wp_mat: np.ndarray,
-    wm_mat: np.ndarray,
-    s_rows: np.ndarray,
-    t_rows: np.ndarray,
-    sizes: np.ndarray,
-    tp: np.ndarray,
-    tm: np.ndarray,
-):
-    """Largest violation over singletons and the given cut rows.
+def _max_violation_fast(x_mat, wp_mat, wm_mat, iu, iv, cs, sizes, tp, tm):
+    """Largest violation over singleton pairs and cut rows with cut sums ``cs``.
 
     Returns (lambda, kind, index, signed residual); kind is 'pair+',
     'pair-', 'cut+' or 'cut-'.
     """
-    n = x_mat.shape[0]
-    iu, iv = np.triu_indices(n, 1)
-    res_pair_p = x_mat[iu, iv] - wp_mat[iu, iv]
-    res_pair_m = (1.0 - x_mat[iu, iv]) - wm_mat[iu, iv]
-    cs = _cut_stats(x_mat, s_rows, t_rows)
-    res_cut_p = cs - tp
-    res_cut_m = (sizes - cs) - tm
-    cands = [
-        ("pair+", res_pair_p),
-        ("pair-", res_pair_m),
-        ("cut+", res_cut_p),
-        ("cut-", res_cut_m),
-    ]
-    best = ("pair+", 0, 0.0, -1.0)
-    for kind, res in cands:
-        if res.size == 0:
-            continue
-        i = int(np.argmax(np.abs(res)))
-        v = float(abs(res[i]))
-        if v > best[3]:
-            best = (kind, i, float(res[i]), v)
-    kind, idx, signed, lam = best
-    return lam, kind, idx, signed
-
-
-def _max_violation_fast(x_mat, wp_mat, wm_mat, iu, iv, cs, sizes, tp, tm):
-    """Same selection as :func:`_max_violation` given precomputed cut sums."""
     xp = x_mat[iu, iv]
     cands = (
         ("pair+", xp - wp_mat[iu, iv]),
@@ -218,6 +167,8 @@ def _max_violation_fast(x_mat, wp_mat, wm_mat, iu, iv, cs, sizes, tp, tm):
     )
     best = ("pair+", 0, 0.0, -1.0)
     for kind, res in cands:
+        if res.size == 0:  # n = 1 has no pairs
+            continue
         i = int(np.argmax(np.abs(res)))
         v = float(abs(res[i]))
         if v > best[3]:
@@ -249,8 +200,8 @@ def solve_merge_lp(
         constraint_budget = 4 * n
     if constraint_budget < 0:
         raise ContractViolation("constraint_budget must be >= 0")
-    wp_mat = _sym(n, wplus.values)
-    wm_mat = _sym(n, wminus.values)
+    wp_mat = wplus.matrix()
+    wm_mat = wminus.matrix()
     iu, iv = np.triu_indices(n, 1)
 
     x_mat = np.clip((wp_mat + 1.0 - wm_mat) / 2.0, 0.0, 1.0)
@@ -263,8 +214,8 @@ def solve_merge_lp(
         tag = "sampled-lp"
         s_rows, t_rows = _sample_set_pairs(n, constraint_budget, rng)
         sizes = _cut_sizes(n, s_rows, t_rows)
-        tp = _cut_stats(wp_mat, s_rows, t_rows)
-        tm = _cut_stats(wm_mat, s_rows, t_rows)
+        tp = cut_sums(wp_mat, s_rows, t_rows)
+        tm = cut_sums(wm_mat, s_rows, t_rows)
         # hoisted float views; the overlap term only matters where S and T meet
         s_f = s_rows.astype(np.float64)
         t_f = t_rows.astype(np.float64)
@@ -314,10 +265,11 @@ def solve_merge_lp(
     # honest audit: fresh constraints, never the training family
     a_s, a_t = _sample_set_pairs(n, max(constraint_budget, 1), rng)
     a_sizes = _cut_sizes(n, a_s, a_t)
-    a_tp = _cut_stats(wp_mat, a_s, a_t)
-    a_tm = _cut_stats(wm_mat, a_s, a_t)
-    lam_audit, _, _, _ = _max_violation(
-        x_mat, wp_mat, wm_mat, a_s, a_t, a_sizes, a_tp, a_tm
+    a_cs = cut_sums(x_mat, a_s, a_t)
+    a_tp = cut_sums(wp_mat, a_s, a_t)
+    a_tm = cut_sums(wm_mat, a_s, a_t)
+    lam_audit, _, _, _ = _max_violation_fast(
+        x_mat, wp_mat, wm_mat, iu, iv, a_cs, a_sizes, a_tp, a_tm
     )
     checked = 2 * iu.size + 2 * a_s.shape[0]
     return MergeSolution(

@@ -34,6 +34,7 @@ from .graphs import (
     ReleaseOutput,
     SignedGraph,
     WeightedChannel,
+    cut_sums,
 )
 
 __all__ = [
@@ -44,7 +45,6 @@ __all__ = [
     "get_cut_releaser",
     "release_weighted",
     "sampled_cut_distance",
-    "channel_cut_value",
 ]
 
 
@@ -53,6 +53,7 @@ class CutReleaser(abc.ABC):
 
     name: str = "abstract"
     needs_delta: bool = False
+    private: bool = True  # False marks a test engine whose output is not private
 
     @abc.abstractmethod
     def release(
@@ -63,6 +64,10 @@ class CutReleaser(abc.ABC):
     @abc.abstractmethod
     def advertised_error(self, n: int, m: float, params: PrivacyParams) -> float:
         """A-priori cut-distance bound this engine claims (polylogs coarse)."""
+
+    def noise_scale(self, params: PrivacyParams) -> float:
+        """Per-pair noise scale at this budget, reported in the audit; 0 if none."""
+        return 0.0
 
     def validate_params(self, params: PrivacyParams) -> None:
         if self.needs_delta:
@@ -86,7 +91,7 @@ class LaplaceCutReleaser(CutReleaser):
     def __init__(self, threshold_factor: float = 1.0):
         self.threshold_factor = threshold_factor
 
-    def _scale(self, params: PrivacyParams) -> float:
+    def noise_scale(self, params: PrivacyParams) -> float:
         return 2.0 / params.epsilon
 
     def raw_release(self, channel, params, rng):
@@ -95,18 +100,18 @@ class LaplaceCutReleaser(CutReleaser):
         Already private on its own; the threshold below is post-processing.
         """
         self.validate_params(params)
-        scale = self._scale(params)
+        scale = self.noise_scale(params)
         noisy = channel.values + rng.laplace(0.0, scale, size=channel.values.size)
         return WeightedChannel(channel.n, noisy)
 
     def release(self, channel, params, rng):
         raw = self.raw_release(channel, params, rng)
-        scale = self._scale(params)
+        scale = self.noise_scale(params)
         tau = self.threshold_factor * scale * math.log(max(channel.n, 2))
         return WeightedChannel(channel.n, np.where(raw.values >= tau, raw.values, 0.0))
 
     def advertised_error(self, n, m, params):
-        scale = self._scale(params)
+        scale = self.noise_scale(params)
         return scale * n**1.5 * math.sqrt(math.log(max(n, 2)))
 
 
@@ -114,6 +119,7 @@ class ZeroNoiseCutReleaser(CutReleaser):
     """Identity passthrough; no privacy.  Pipeline tests only."""
 
     name = "zero-noise-test"
+    private = False
 
     def release(self, channel, params, rng):
         return WeightedChannel(channel.n, channel.values)
@@ -129,8 +135,13 @@ def register_cut_releaser(name: str, engine: CutReleaser) -> None:
     _REGISTRY[name] = engine
 
 
-def get_cut_releaser(name: str) -> CutReleaser:
-    """Look up an engine: ``laplace``, ``zero-noise-test`` or ``external:<name>``."""
+def get_cut_releaser(name: CutReleaser | str) -> CutReleaser:
+    """Look up an engine: ``laplace``, ``zero-noise-test`` or ``external:<name>``.
+
+    An engine instance is returned as it is.
+    """
+    if isinstance(name, CutReleaser):
+        return name
     if name == "laplace":
         return LaplaceCutReleaser()
     if name == "zero-noise-test":
@@ -155,14 +166,9 @@ def release_weighted(
     Each sign channel goes through ``engine`` at half the budget; the
     outputs recombine with their signs, possibly giving parallel pairs.
     """
-    if isinstance(engine, str):
-        engine = get_cut_releaser(engine)
+    engine = get_cut_releaser(engine)
+    engine.validate_params(params)
     half = params.split(2)
-    if engine.needs_delta and not (
-        0 < params.epsilon <= 0.5 and 0 < params.delta <= 0.5
-    ):
-        raise ContractViolation("budget out of the engine's admissible range")
-    engine.validate_params(half)
     n = graph.n
     out_plus = engine.release(WeightedChannel(n, graph.channel_flat(1)), half, rng)
     out_minus = engine.release(WeightedChannel(n, graph.channel_flat(-1)), half, rng)
@@ -171,31 +177,20 @@ def release_weighted(
     released = SignedGraph.from_channel_arrays(
         n, out_plus.values, out_minus.values, parallel_ok=True
     )
-    noise_scale = (
-        engine._scale(half) if isinstance(engine, LaplaceCutReleaser) else 0.0
-    )
     audit = ReleaseOutput(
         mechanism=f"weighted-{engine.name}",
         epsilon=params.epsilon,
         delta=params.delta,
-        noise_scale=noise_scale,
+        noise_scale=engine.noise_scale(half),
         channel_budgets=(half.epsilon, half.epsilon),
         seed=seed,
-        private=not isinstance(engine, ZeroNoiseCutReleaser),
+        private=engine.private,
     )
     return released, audit
 
 
 # ---------------------------------------------------------------------------
 # Cut distance
-
-
-def channel_cut_value(diff: np.ndarray, s_mask: np.ndarray, t_mask: np.ndarray) -> float:
-    """Counted-once cut sum of a symmetric difference matrix."""
-    s = s_mask.astype(np.float64)
-    t = t_mask.astype(np.float64)
-    r = (s_mask & t_mask).astype(np.float64)
-    return float(s @ diff @ t - 0.5 * (r @ diff @ r))
 
 
 _EXACT_LIMIT = 10
@@ -242,7 +237,7 @@ def sampled_cut_distance(
     for i in range(2 * samples):
         s = rng.random(n) < 0.5
         t = rng.random(n) < 0.5 if i < samples else ~s
-        cands.append((abs(channel_cut_value(diff, s, t)), s, t))
+        cands.append((abs(float(cut_sums(diff, s[None], t[None])[0])), s, t))
     cands.sort(key=lambda item: -item[0])
     best = cands[0][0]
     best_s, best_t = cands[0][1], cands[0][2]
@@ -302,7 +297,7 @@ def _ascend(diff: np.ndarray, s: np.ndarray, t: np.ndarray):
     sum_s = diff @ only_s
     sum_t = diff @ only_t
     sum_b = diff @ both
-    f = channel_cut_value(diff, in_s, in_t)
+    f = float(cut_sums(diff, in_s[None], in_t[None])[0])
     best = abs(f)
     for _ in range(8 * n):
         # contribution of each vertex if placed into each state

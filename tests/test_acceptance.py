@@ -207,7 +207,8 @@ def test_criterion_05_laplace_release_statistics():
 
 def sampled_family_deviation(g, released, n, rng):
     """Max |cut(G+) - cut(H+)| over singletons and a fresh sampled family."""
-    from privcc.release_unweighted import _cut_stats, _sample_set_pairs
+    from privcc.graphs import cut_sums
+    from privcc.release_unweighted import _sample_set_pairs
 
     diff_flat = g.channel_flat(1) - released.channel_flat(1)
     best = float(np.abs(diff_flat).max(initial=0.0))
@@ -216,7 +217,7 @@ def sampled_family_deviation(g, released, n, rng):
     diff = np.zeros((n, n))
     diff[pu, pv] = diff_flat
     diff[pv, pu] = diff_flat
-    return max(best, float(np.abs(_cut_stats(diff, s_rows, t_rows)).max()))
+    return max(best, float(np.abs(cut_sums(diff, s_rows, t_rows)).max()))
 
 
 def test_criterion_06_cut_deviation_scaling():

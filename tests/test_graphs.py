@@ -15,6 +15,7 @@ from privcc import (
     split_signs,
 )
 from privcc._rng import make_rng
+from privcc.graphs import cut_sums
 
 from helpers import random_clustering, random_graph
 
@@ -111,6 +112,35 @@ class TestCuts:
             assert disagreement_cut_form(c, g) == pytest.approx(
                 disagreement(c, g), rel=1e-9, abs=1e-12
             )
+
+    def test_cut_sums_match_signed_cut_weight(self):
+        # one batched call per channel; rows of three kinds: overlapping
+        # S != T, S == T (weight inside a set, each pair once), disjoint
+        rng = make_rng(109)
+        for trial in range(40):
+            n = int(rng.integers(3, 16))
+            g = random_graph(rng, n, weighted=True, parallel=True, density=0.8)
+            s_rows, t_rows = [], []
+            for _ in range(4):
+                z = rng.integers(0, 4, size=n)
+                z[0], z[1] = 3, 1  # a shared vertex and one in S only
+                s_rows.append((z == 1) | (z == 3))
+                t_rows.append((z == 2) | (z == 3))
+                same = rng.random(n) < 0.5
+                s_rows.append(same)
+                t_rows.append(same.copy())
+                z = rng.integers(0, 3, size=n)
+                s_rows.append(z == 1)
+                t_rows.append(z == 2)
+            s_rows, t_rows = np.array(s_rows), np.array(t_rows)
+            for sign in (1, -1):
+                got = cut_sums(g.channel_matrix(sign), s_rows, t_rows)
+                want = [
+                    signed_cut_weight(g, np.flatnonzero(s), np.flatnonzero(t), sign)
+                    for s, t in zip(s_rows, t_rows)
+                ]
+                assert got.shape == (len(want),)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestNeighborDistance:

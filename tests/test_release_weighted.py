@@ -16,7 +16,6 @@ from privcc.release_weighted import (
     CutReleaser,
     LaplaceCutReleaser,
     ZeroNoiseCutReleaser,
-    channel_cut_value,
     get_cut_releaser,
     register_cut_releaser,
     release_weighted,
@@ -118,6 +117,28 @@ class TestEngines:
         release_weighted(g, PrivacyParams(0.4, 0.2), NeedsDelta(), rng)
         with pytest.raises(ContractViolation):
             release_weighted(g, PrivacyParams(0.8, 0.2), NeedsDelta(), rng)
+
+    def test_external_engine_reports_scale_and_privacy(self):
+        class Rounded(CutReleaser):
+            name = "rounded"
+            private = False
+
+            def release(self, channel, params, rng):
+                return WeightedChannel(channel.n, np.round(channel.values))
+
+            def advertised_error(self, n, m, params):
+                return 0.0
+
+            def noise_scale(self, params):
+                return 3.0 / params.epsilon
+
+        register_cut_releaser("rounded", Rounded())
+        rng = make_rng(85)
+        g = random_graph(rng, 6, weighted=True)
+        _, audit = release_weighted(g, PrivacyParams(1.0), "external:rounded", rng)
+        assert audit.mechanism == "weighted-rounded"
+        assert audit.noise_scale == 6.0  # 3 / (eps/2)
+        assert audit.private is False
 
     def test_broken_engine_rejected(self):
         class Broken(CutReleaser):
