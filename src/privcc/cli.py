@@ -15,23 +15,24 @@ import numpy as np
 
 from ._rng import make_rng
 from .graphs import (
-    Clustering,
     ContractViolation,
     PrivacyParams,
+    SignedGraph,
     SizeRefusal,
+    WeightedChannel,
     agreement,
     disagreement,
 )
 from .io import read_edge_list, write_edge_list
-from .release_unweighted import MergeConfig, UnweightedReleaseConfig, release_unweighted
+from .release_unweighted import MergeConfig
 from .release_weighted import release_weighted, sampled_cut_distance
-from .graphs import WeightedChannel
 from .expmech import exact_output_distribution, exponential_mechanism
 from .experiments import (
     CSV_HEADER,
     InstanceSpec,
     PipelineConfig,
     generate_instance,
+    release_stage,
     run_matrix,
     run_pipeline,
 )
@@ -106,18 +107,14 @@ def _cmd_generate(args) -> int:
 def _cmd_release(args) -> int:
     graph = read_edge_list(args.input)
     params = PrivacyParams(args.epsilon, args.delta)
-    rng = make_rng(args.seed, "release")
-    if args.mechanism == "unweighted-laplace":
-        cfg = UnweightedReleaseConfig(
-            merge=MergeConfig(strategy=args.merge_strategy,
-                              constraint_budget=args.constraint_budget,
-                              iterations=args.merge_iterations),
-            seed=args.seed,
-        )
-        released, audit = release_unweighted(graph, params, cfg, rng)
-    else:
-        released, audit = release_weighted(graph, params, args.engine, rng,
-                                           seed=args.seed)
+    config = PipelineConfig(
+        mechanism=args.mechanism,
+        merge=MergeConfig(strategy=args.merge_strategy,
+                          constraint_budget=args.constraint_budget,
+                          iterations=args.merge_iterations),
+        engine=args.engine,
+    )
+    released, audit = release_stage(graph, params, config, args.seed)
     if args.output:
         write_edge_list(released, args.output)
     report = json.dumps(audit.audit_dict(), sort_keys=True)
@@ -197,17 +194,14 @@ def _cmd_verify_dp(args) -> int:
     worst = 0.0
     for inst in range(args.instances):
         rng = make_rng(args.seed, "verify-dp", inst)
-        pu, pv = np.triu_indices(n, 1)
-        pos = (rng.random(pu.size) < 0.5).astype(np.float64)
-        from .graphs import SignedGraph
-
-        base = SignedGraph(n, pu, pv, pos, 1.0 - pos, complete=True)
+        positive = rng.random(n * (n - 1) // 2) < 0.5
+        base = SignedGraph.complete_unweighted(n, positive)
         params = PrivacyParams(args.epsilon)
         dist = exact_output_distribution(base, params)
-        for e in range(pu.size):
-            flipped_pos = pos.copy()
-            flipped_pos[e] = 1.0 - flipped_pos[e]
-            other = SignedGraph(n, pu, pv, flipped_pos, 1.0 - flipped_pos, complete=True)
+        for e in range(positive.size):
+            flipped = positive.copy()
+            flipped[e] = not flipped[e]
+            other = SignedGraph.complete_unweighted(n, flipped)
             dist2 = exact_output_distribution(other, params)
             for key, prob in dist.items():
                 ratio = abs(np.log(prob) - np.log(dist2[key]))

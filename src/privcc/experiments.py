@@ -11,7 +11,10 @@ A pipeline run has three strictly separated stages:
 
 Records are emitted twice: a CSV row with the plot-ready, deterministic
 fields (identical bytes for identical seeds), and a JSONL record that
-additionally carries wall time and the coarsening report.
+additionally carries wall time and the coarsening report.  The split is
+declared once, on the fields of :class:`ExperimentRecord`: a field marked
+``jsonl_only`` in its metadata stays out of the CSV, and both
+``CSV_HEADER`` and ``csv_row`` are derived from the rest.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -119,20 +122,13 @@ def generate_instance(spec: InstanceSpec) -> tuple[SignedGraph, Clustering | Non
     n = spec.n
     if spec.kind == "planted":
         labels = (np.arange(n) * spec.clusters) // n
-        truth = Clustering(labels)
         pu, pv = np.triu_indices(n, 1)
-        agree = labels[pu] == labels[pv]
         flip = rng.random(pu.size) < spec.flip_prob
-        positive = agree ^ flip
-        pos = positive.astype(np.float64)
-        return (
-            SignedGraph(n, pu, pv, pos, 1.0 - pos, complete=True),
-            truth,
-        )
+        positive = (labels[pu] == labels[pv]) ^ flip
+        return SignedGraph.complete_unweighted(n, positive), Clustering(labels)
     if spec.kind == "random-signs":
-        pu, pv = np.triu_indices(n, 1)
-        pos = (rng.random(pu.size) < 0.5).astype(np.float64)
-        return SignedGraph(n, pu, pv, pos, 1.0 - pos, complete=True), None
+        positive = rng.random(n * (n - 1) // 2) < 0.5
+        return SignedGraph.complete_unweighted(n, positive), None
     if spec.kind == "path":
         sigma = (rng.integers(0, 2, size=n - 1) * 2 - 1).astype(np.int8)
         from .packing import path_graph
@@ -168,7 +164,6 @@ class PipelineConfig:
     engine: str = "laplace"
     coarsen_enabled: bool = True
     coarsen_k: int | None = None  # None -> ceil(n^(1/4))
-    refine_after_coarsen: bool = True
     zero_noise: bool = False  # non-private passthrough, pipeline tests only
 
     def __post_init__(self):
@@ -182,6 +177,9 @@ class PipelineConfig:
         cfg = self.solver
         k = f",k<={cfg.max_clusters}" if cfg.max_clusters else ""
         return f"{cfg.objective}(restarts={cfg.restarts}{k})"
+
+
+_JSONL_ONLY = {"jsonl_only": True}
 
 
 @dataclass(frozen=True)
@@ -200,9 +198,10 @@ class ExperimentRecord:
     err_on_released: float
     eta_hat: float
     lambda_residual: float | None
-    wall_ms: float = 0.0
-    coarsen_report: dict | None = None
-    nonprivate_eval: bool = True
+    # JSONL only: wall time differs between reruns; the other two are not plot data
+    wall_ms: float = field(default=0.0, metadata=_JSONL_ONLY)
+    coarsen_report: dict | None = field(default=None, metadata=_JSONL_ONLY)
+    nonprivate_eval: bool = field(default=True, metadata=_JSONL_ONLY)
 
     def csv_row(self) -> str:
         def fmt(x):
@@ -212,53 +211,16 @@ class ExperimentRecord:
                 return repr(x)
             return str(x)
 
-        return ",".join(
-            fmt(v)
-            for v in (
-                self.cell,
-                self.instance,
-                self.mechanism,
-                self.solver,
-                self.epsilon,
-                self.delta,
-                self.seed,
-                self.err,
-                self.agr,
-                self.k_out,
-                self.planted_cost,
-                self.err_on_released,
-                self.eta_hat,
-                self.lambda_residual,
-            )
-        )
+        return ",".join(fmt(getattr(self, name)) for name in _CSV_FIELDS)
 
     def to_json(self) -> str:
-        payload = {
-            "cell": self.cell,
-            "instance": self.instance,
-            "mechanism": self.mechanism,
-            "solver": self.solver,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "seed": self.seed,
-            "err": self.err,
-            "agr": self.agr,
-            "k_out": self.k_out,
-            "planted_cost": self.planted_cost,
-            "err_on_released": self.err_on_released,
-            "eta_hat": self.eta_hat,
-            "lambda_residual": self.lambda_residual,
-            "wall_ms": self.wall_ms,
-            "coarsen_report": self.coarsen_report,
-            "nonprivate_eval": self.nonprivate_eval,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
-CSV_HEADER = (
-    "cell,instance,mechanism,solver,epsilon,delta,seed,err,agr,k_out,"
-    "planted_cost,err_on_released,eta_hat,lambda_residual"
+_CSV_FIELDS = tuple(
+    f.name for f in fields(ExperimentRecord) if not f.metadata.get("jsonl_only")
 )
+CSV_HEADER = ",".join(_CSV_FIELDS)
 
 
 def release_stage(
@@ -297,7 +259,7 @@ def postprocess_stage(
             max(released.pos_w.max(initial=0.0), released.neg_w.max(initial=0.0))
         )
         clustering, report = coarsen(clustering, released.n, kp, max_w)
-        if config.refine_after_coarsen and clustering.k < released.n:
+        if clustering.k < released.n:
             # polish within the coarsened cluster budget; an unrestricted
             # solution tends to overfit release noise, and its merged form
             # usually is not even locally optimal at its own cluster count
@@ -353,7 +315,7 @@ def run_pipeline(
         clustering, report = postprocess_stage(released, config, seed)
         audit_lambda = audit.lambda_residual
     metrics = evaluate_stage(graph, clustering, released, truth)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
+    wall_ms = (time.perf_counter() - t0) * 1000.0  # includes evaluation
     record = ExperimentRecord(
         cell=cell,
         instance=instance_label,
@@ -362,15 +324,10 @@ def run_pipeline(
         epsilon=params.epsilon,
         delta=params.delta,
         seed=seed,
-        err=metrics["err"],
-        agr=metrics["agr"],
-        k_out=metrics["k_out"],
-        planted_cost=metrics["planted_cost"],
-        err_on_released=metrics["err_on_released"],
-        eta_hat=metrics["eta_hat"],
         lambda_residual=audit_lambda,
         wall_ms=wall_ms,
         coarsen_report=report.to_dict() if report is not None else None,
+        **metrics,
     )
     return clustering, record
 
@@ -438,7 +395,10 @@ def run_matrix(
                         cell=cell_index,
                     )
                 except Exception as exc:  # surfaced per cell, matrix continues
-                    print(f"cell {cell_index} failed: {exc}", file=sys.stderr)
+                    print(
+                        f"cell {cell_index} failed: {type(exc).__name__}: {exc}",
+                        file=sys.stderr,
+                    )
                     continue
                 csv_fh.write(record.csv_row() + "\n")
                 csv_fh.flush()

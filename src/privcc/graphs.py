@@ -19,7 +19,7 @@ unweighted graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -165,16 +165,15 @@ class SignedGraph:
         return cls(n, pu, pv, pw, nw, complete=complete, parallel_ok=parallel_ok)
 
     @classmethod
-    def complete_unweighted(cls, positive: np.ndarray) -> "SignedGraph":
-        """Complete unit-weight graph from a symmetric boolean sign pattern.
+    def complete_unweighted(cls, n: int, positive: np.ndarray) -> "SignedGraph":
+        """Complete unit-weight graph from one sign flag per pair.
 
-        ``positive[u, v]`` marks pair {u, v} as a positive edge; everything
-        else is negative.  Only the upper triangle is read.
+        ``positive`` holds a boolean per unordered pair in canonical order
+        (that of ``numpy.triu_indices(n, 1)``); true marks a positive edge,
+        false a negative one.
         """
-        positive = np.asarray(positive, dtype=bool)
-        n = positive.shape[0]
         pu, pv = np.triu_indices(n, 1)
-        pos = positive[pu, pv].astype(np.float64)
+        pos = np.asarray(positive, dtype=bool).astype(np.float64)
         return cls(n, pu, pv, pos, 1.0 - pos, complete=True)
 
     @classmethod
@@ -357,10 +356,6 @@ class WeightedChannel:
         self.values = _readonly(values)
 
     @classmethod
-    def zeros(cls, n: int) -> "WeightedChannel":
-        return cls(n, np.zeros(n * (n - 1) // 2))
-
-    @classmethod
     def from_matrix(cls, m: np.ndarray) -> "WeightedChannel":
         m = np.asarray(m, dtype=np.float64)
         n = m.shape[0]
@@ -413,11 +408,10 @@ class ReleaseOutput:
     private: bool = True
 
     def audit_dict(self) -> dict:
-        return {
-            "lambda": self.lambda_residual,
-            "constraints_checked": self.constraints_checked,
-            "seed": self.seed,
-        }
+        """Every field, with ``lambda_residual`` under the key ``lambda``."""
+        out = asdict(self)
+        out["lambda"] = out.pop("lambda_residual")
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -288,10 +288,7 @@ def round_to_signed(solution: MergeSolution, rng: np.random.Generator) -> Signed
     n = round((1 + np.sqrt(1 + 8 * m)) / 2)
     if n * (n - 1) // 2 != m:
         raise ContractViolation("probability vector does not cover all pairs")
-    positive = rng.random(m) < x
-    pos_w = positive.astype(np.float64)
-    pu, pv = np.triu_indices(n, 1)
-    return SignedGraph(n, pu, pv, pos_w, 1.0 - pos_w, complete=True)
+    return SignedGraph.complete_unweighted(n, rng.random(m) < x)
 
 
 # ---------------------------------------------------------------------------

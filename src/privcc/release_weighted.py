@@ -88,9 +88,6 @@ class LaplaceCutReleaser(CutReleaser):
 
     name = "laplace"
 
-    def __init__(self, threshold_factor: float = 1.0):
-        self.threshold_factor = threshold_factor
-
     def noise_scale(self, params: PrivacyParams) -> float:
         return 2.0 / params.epsilon
 
@@ -107,7 +104,7 @@ class LaplaceCutReleaser(CutReleaser):
     def release(self, channel, params, rng):
         raw = self.raw_release(channel, params, rng)
         scale = self.noise_scale(params)
-        tau = self.threshold_factor * scale * math.log(max(channel.n, 2))
+        tau = scale * math.log(max(channel.n, 2))
         return WeightedChannel(channel.n, np.where(raw.values >= tau, raw.values, 0.0))
 
     def advertised_error(self, n, m, params):

@@ -30,7 +30,6 @@ from .graphs import (
     ContractViolation,
     SignedGraph,
     SizeRefusal,
-    agreement,
     disagreement,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "pivot_kwikcluster",
     "local_search",
     "solve",
-    "objective_value",
 ]
 
 MIN_DISAGREEMENT = "min-disagreement"
@@ -54,13 +52,15 @@ MAX_AGREEMENT = "max-agreement"
 # Bell(12) ~ 4.2e6 partitions is the largest enumeration we accept.
 EXACT_LIMIT = 12
 
+# local search stops after this many sweeps of n moves
+_MAX_PASSES = 50
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     objective: str = MIN_DISAGREEMENT
     max_clusters: int | None = None
     seed: int = 0
-    max_passes: int = 50
     restarts: int = 8
 
     def __post_init__(self):
@@ -68,14 +68,8 @@ class SolverConfig:
             raise ContractViolation(f"unknown objective {self.objective!r}")
         if self.max_clusters is not None and self.max_clusters < 1:
             raise ContractViolation("max_clusters must be >= 1")
-        if self.max_passes < 1 or self.restarts < 1:
-            raise ContractViolation("max_passes and restarts must be >= 1")
-
-
-def objective_value(clustering: Clustering, graph: SignedGraph, objective: str) -> float:
-    if objective == MAX_AGREEMENT:
-        return agreement(clustering, graph)
-    return disagreement(clustering, graph)
+        if self.restarts < 1:
+            raise ContractViolation("restarts must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +173,7 @@ def local_search(
     Each step applies the globally best move of one vertex to an existing
     cluster or to a new singleton (new clusters are forbidden once
     ``max_clusters`` nonempty clusters exist).  Stops when no move
-    improves the objective or after ``max_passes`` sweeps of n moves.
+    improves the objective or after ``_MAX_PASSES`` sweeps of n moves.
     The objective never worsens.
     """
     cfg = cfg or SolverConfig()
@@ -200,7 +194,7 @@ def local_search(
     sizes = ind.sum(axis=0)
 
     tol = 1e-9
-    moves_budget = cfg.max_passes * n
+    moves_budget = _MAX_PASSES * n
     best_err = disagreement(Clustering(labels), graph)
     moves_done = 0
     while moves_done < moves_budget:

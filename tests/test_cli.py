@@ -41,6 +41,8 @@ def test_release_roundtrip(tmp_path):
     assert h.complete and h.n == 14
     audit = json.loads(audit_path.read_text())
     assert audit["lambda"] >= 0 and audit["seed"] == 5
+    assert audit["private"] is True
+    assert audit["mechanism"] == "unweighted-laplace-merge-round"
 
 
 def test_weighted_release_and_audit_cuts(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from privcc import (
     disagreement,
     solve,
 )
+from privcc import experiments
 from privcc._rng import make_rng
 from privcc.experiments import (
     CSV_HEADER,
@@ -150,6 +152,22 @@ class TestPipeline:
         # the post-coarsen polish may drop clusters but never adds any
         assert rec.coarsen_report is None or rec.k_out <= rec.coarsen_report["k_after"]
 
+    def test_wall_time_includes_evaluation(self, monkeypatch):
+        g, truth = generate_instance(InstanceSpec(kind="planted", n=6, clusters=2))
+        evaluate = experiments.evaluate_stage
+
+        def slow_evaluate(*args):
+            time.sleep(0.05)
+            return evaluate(*args)
+
+        monkeypatch.setattr(experiments, "evaluate_stage", slow_evaluate)
+        _, rec = run_pipeline(
+            g, PrivacyParams(1.0), PipelineConfig(mechanism="exponential",
+                                                  coarsen_enabled=False),
+            seed=4, truth=truth,
+        )
+        assert rec.wall_ms >= 50.0
+
     def test_deterministic_records(self):
         spec = InstanceSpec(kind="planted", n=20, clusters=2, flip_prob=0.1, seed=13)
         g, truth = generate_instance(spec)
@@ -218,7 +236,10 @@ class TestMatrix:
         records = run_matrix(self.MATRIX, str(csv), str(tmp_path / "out.jsonl"))
         assert len(records) == 2 * 2 * 1 * 3
         lines = csv.read_text().strip().splitlines()
-        assert lines[0] == CSV_HEADER
+        assert lines[0] == CSV_HEADER == (
+            "cell,instance,mechanism,solver,epsilon,delta,seed,err,agr,k_out,"
+            "planted_cost,err_on_released,eta_hat,lambda_residual"
+        )
         assert len(lines) == 13
 
     def test_rerun_byte_identical(self, tmp_path):
@@ -246,7 +267,8 @@ class TestMatrix:
         csv = tmp_path / "c.csv"
         records = run_matrix(bad, str(csv), None)
         assert len(records) == 1
-        assert "failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "failed" in err and "ContractViolation" in err
 
     def test_jsonl_carries_full_record(self, tmp_path):
         csv, jsonl = tmp_path / "d.csv", tmp_path / "d.jsonl"
@@ -254,3 +276,5 @@ class TestMatrix:
         row = json.loads(jsonl.read_text().splitlines()[0])
         assert row["nonprivate_eval"] is True
         assert "wall_ms" in row and "wall_ms" not in CSV_HEADER
+        jsonl_only = {"wall_ms", "coarsen_report", "nonprivate_eval"}
+        assert set(row) == set(CSV_HEADER.split(",")) | jsonl_only

@@ -224,6 +224,16 @@ class TestTypes:
     def test_complete_requires_all_pairs(self):
         with pytest.raises(ContractViolation):
             SignedGraph.from_edges(3, [(0, 1, 1, 1.0)], complete=True)
+        with pytest.raises(ContractViolation):
+            SignedGraph.complete_unweighted(4, np.ones(5, dtype=bool))
+
+    def test_complete_unweighted_flags_in_canonical_order(self):
+        # pairs 01, 02, 03, 12, 13, 23
+        flags = np.array([True, False, False, True, False, True])
+        g = SignedGraph.complete_unweighted(4, flags)
+        assert g.complete and g.is_unweighted
+        assert np.array_equal(g.pos_w, flags.astype(np.float64))
+        assert signed_cut_weight(g, [1, 2], [1, 2], 1) == 1.0
 
     def test_weighted_channel_roundtrip(self):
         rng = make_rng(107)

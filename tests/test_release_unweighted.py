@@ -215,7 +215,10 @@ class TestReleaseUnweighted:
         assert audit.noise_scale == 2.0
         assert audit.channel_budgets == (0.5, 0.5)
         assert audit.lambda_residual is not None and audit.lambda_residual >= 0
-        assert set(audit.audit_dict()) == {"lambda", "constraints_checked", "seed"}
+        assert set(audit.audit_dict()) == {
+            "mechanism", "epsilon", "delta", "noise_scale", "channel_budgets",
+            "lambda", "merge_strategy", "constraints_checked", "seed", "private",
+        }
 
     def test_preconditions(self):
         rng = make_rng(67)
