@@ -13,7 +13,6 @@ import numpy as np
 
 from privcc import (
     PrivacyParams,
-    UnweightedReleaseConfig,
     WeightedChannel,
     disagreement,
     laplace_release,
@@ -38,9 +37,9 @@ noisy_p = laplace_release(wplus, scale, rng)
 noisy_m = laplace_release(wminus, scale, rng)
 print("noise scale per coordinate:", scale)
 print("noisy positive channel: min %.2f max %.2f (true values are 0/1)"
-      % (noisy_p.channel.values.min(), noisy_p.channel.values.max()))
+      % (noisy_p.values.min(), noisy_p.values.max()))
 
-merged = solve_merge_lp(noisy_p.channel, noisy_m.channel, None, rng)
+merged = solve_merge_lp(noisy_p, noisy_m, None, rng)
 print("\nmerged probabilities in [%.2f, %.2f], strategy=%s"
       % (merged.x.min(), merged.x.max(), merged.strategy))
 print("audited residual over fresh cuts: %.1f  (%d constraints checked)"
@@ -54,8 +53,8 @@ print("edges flipped vs input: %.1f%%"
       % (100 * float((released.pos_w != graph.pos_w).mean())))
 
 print("\n== one call does all of it ==")
-h, audit = release_unweighted(graph, PrivacyParams(eps),
-                              UnweightedReleaseConfig(seed=2024), make_rng(2025))
+h, audit = release_unweighted(graph, PrivacyParams(eps), None, make_rng(2025),
+                              seed=2024)
 print("mechanism:", audit.mechanism)
 print("channel budgets:", audit.channel_budgets, " lambda:", round(audit.lambda_residual, 1))
 print("planted clustering scores err", disagreement(truth, h), "on the release",

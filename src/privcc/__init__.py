@@ -36,10 +36,8 @@ from .solvers import (
 from .expmech import exact_output_distribution, exponential_mechanism
 from .transforms import CoarsenReport, coarsen, contract_coupled, split_transform, unsplit
 from .release_unweighted import (
-    LaplaceReleaseOutput,
     MergeConfig,
     MergeSolution,
-    UnweightedReleaseConfig,
     laplace_release,
     release_unweighted,
     round_to_signed,

@@ -271,13 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("release", help="privately release a graph")
     _add_common(p)
     p.add_argument("--input", required=True)
-    p.add_argument("--mechanism", default="unweighted-laplace",
+    p.add_argument("--mechanism", default=PipelineConfig.mechanism,
                    choices=["unweighted-laplace", "weighted-laplace"])
-    p.add_argument("--engine", default="laplace")
-    p.add_argument("--merge-strategy", default="sampled-lp",
+    p.add_argument("--engine", default=PipelineConfig.engine)
+    p.add_argument("--merge-strategy", default=MergeConfig.strategy,
                    choices=["sampled-lp", "per-edge"])
-    p.add_argument("--constraint-budget", type=int, default=None)
-    p.add_argument("--merge-iterations", type=int, default=2000)
+    p.add_argument("--constraint-budget", type=int,
+                   default=MergeConfig.constraint_budget)
+    p.add_argument("--merge-iterations", type=int, default=MergeConfig.iterations)
     p.add_argument("--audit", type=str, default=None)
     p.set_defaults(func=_cmd_release)
 
@@ -289,17 +290,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", default="min-disagreement",
                    choices=["min-disagreement", "max-agreement"])
     p.add_argument("--k", type=int, default=None, help="max cluster count")
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=int, default=SolverConfig.restarts)
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("pipeline", help="release then cluster then evaluate")
     _add_common(p)
     _instance_args(p)
     p.add_argument("--input", type=str, default=None)
-    p.add_argument("--mechanism", default="unweighted-laplace",
+    p.add_argument("--mechanism", default=PipelineConfig.mechanism,
                    choices=["unweighted-laplace", "weighted-laplace", "exponential"])
-    p.add_argument("--engine", default="laplace")
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--engine", default=PipelineConfig.engine)
+    p.add_argument("--restarts", type=int, default=SolverConfig.restarts)
     p.add_argument("--no-coarsen", action="store_true")
     p.add_argument("--zero-noise", action="store_true",
                    help="UNSAFE: disables privacy, for plumbing tests")

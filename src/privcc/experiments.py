@@ -39,7 +39,8 @@ from .graphs import (
     disagreement,
 )
 from .io import read_edge_list
-from .release_unweighted import MergeConfig, UnweightedReleaseConfig, release_unweighted
+from .packing import path_graph, random_signs
+from .release_unweighted import MergeConfig, release_unweighted
 from .release_weighted import release_weighted
 from .solvers import SolverConfig, local_search, solve
 from .transforms import (
@@ -130,10 +131,7 @@ def generate_instance(spec: InstanceSpec) -> tuple[SignedGraph, Clustering | Non
         positive = rng.random(n * (n - 1) // 2) < 0.5
         return SignedGraph.complete_unweighted(n, positive), None
     if spec.kind == "path":
-        sigma = (rng.integers(0, 2, size=n - 1) * 2 - 1).astype(np.int8)
-        from .packing import path_graph
-
-        return path_graph(sigma, spec.edge_weight), None
+        return path_graph(random_signs(n - 1, rng), spec.edge_weight), None
     # weighted-random
     pu, pv = np.triu_indices(n, 1)
     present = rng.random(pu.size) < spec.density
@@ -229,10 +227,9 @@ def release_stage(
     """The only stage with access to the private graph."""
     rng = make_rng(seed, "release")
     if config.mechanism == "unweighted-laplace":
-        rc = UnweightedReleaseConfig(
-            merge=config.merge, unsafe_zero_noise=config.zero_noise, seed=seed
+        return release_unweighted(
+            graph, params, config.merge, rng, seed=seed, zero_noise=config.zero_noise
         )
-        return release_unweighted(graph, params, rc, rng)
     if config.mechanism == "weighted-laplace":
         engine = "zero-noise-test" if config.zero_noise else config.engine
         return release_weighted(graph, params, engine, rng, seed=seed)
@@ -336,11 +333,19 @@ def run_pipeline(
 # Matrix runner
 
 
+def _from_dict(cls, d: dict, where: str):
+    """``cls(**d)``, refusing keys that are not fields of ``cls``."""
+    unknown = set(d) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ContractViolation(f"unknown {where} keys: {', '.join(sorted(unknown))}")
+    return cls(**d)
+
+
 def _pipeline_from_dict(d: dict) -> PipelineConfig:
-    solver = SolverConfig(**d.get("solver", {}))
-    merge = MergeConfig(**d.get("merge", {}))
-    keys = {k: v for k, v in d.items() if k not in ("solver", "merge")}
-    return PipelineConfig(solver=solver, merge=merge, **keys)
+    keys = dict(d)
+    keys["solver"] = _from_dict(SolverConfig, d.get("solver", {}), "solver")
+    keys["merge"] = _from_dict(MergeConfig, d.get("merge", {}), "merge")
+    return _from_dict(PipelineConfig, keys, "pipeline")
 
 
 def run_matrix(
@@ -358,7 +363,7 @@ def run_matrix(
     reported per cell on stderr and do not stop the matrix.
     """
     master_seed = int(matrix.get("master_seed", 0))
-    specs = [InstanceSpec(**s) for s in matrix["instances"]]
+    specs = [_from_dict(InstanceSpec, s, "instance") for s in matrix["instances"]]
     epsilons = [float(e) for e in matrix["epsilons"]]
     delta = float(matrix.get("delta", 0.0))
     pipelines = [_pipeline_from_dict(p) for p in matrix["pipelines"]]

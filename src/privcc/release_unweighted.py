@@ -2,17 +2,19 @@
 
 Three stages, privacy carried entirely by the first:
 
-1. :func:`laplace_release` adds independent Laplace noise to every pair
-   of each sign channel.  Flipping one edge moves one coordinate of each
-   channel by 1 (total L1 change 2), so per-coordinate scale ``2 / eps``
-   makes the pair of channel releases eps-DP jointly.
+1. :func:`laplace_release` returns each sign channel with independent
+   Laplace noise added to every pair.  Flipping one edge moves one
+   coordinate of each channel by 1 (total L1 change 2), so
+   per-coordinate scale ``2 / eps`` makes the pair of channel releases
+   eps-DP jointly.
 2. :func:`solve_merge_lp` merges the two noisy channels into edge
    probabilities ``x in [0, 1]`` by approximately minimizing the largest
    deviation between cut sums of x and cut sums of the noisy positive
    channel (and of ``1 - x`` against the negative channel) over a sampled
    constraint family: every singleton pair, random (S, T) set pairs (both
    overlapping and disjoint kinds), and random complement pairs
-   (S, V minus S).
+   (S, V minus S).  :class:`MergeConfig` ``strategy="per-edge"`` keeps
+   the singleton-only solution instead.
 3. :func:`round_to_signed` rounds independently, edge positive with
    probability ``x_e``.
 
@@ -44,10 +46,8 @@ from .graphs import (
 )
 
 __all__ = [
-    "LaplaceReleaseOutput",
     "MergeSolution",
     "MergeConfig",
-    "UnweightedReleaseConfig",
     "laplace_release",
     "solve_merge_lp",
     "round_to_signed",
@@ -55,15 +55,6 @@ __all__ = [
 ]
 
 _PATIENCE = 300  # merge solver stops after this many non-improving iterations
-
-
-@dataclass(frozen=True)
-class LaplaceReleaseOutput:
-    """One noisy channel: weights plus the scale that produced them."""
-
-    channel: WeightedChannel
-    noise_scale: float
-    seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -86,24 +77,18 @@ class MergeConfig:
     def __post_init__(self):
         if self.strategy not in ("sampled-lp", "per-edge"):
             raise ContractViolation(f"unknown merge strategy {self.strategy!r}")
+        if self.constraint_budget is not None and self.constraint_budget < 1:
+            raise ContractViolation("constraint_budget must be >= 1")
         if self.iterations < 1:
             raise ContractViolation("iterations must be >= 1")
-
-
-@dataclass(frozen=True)
-class UnweightedReleaseConfig:
-    merge: MergeConfig = MergeConfig()
-    unsafe_zero_noise: bool = False  # disables privacy; pipeline tests only
-    seed: int | None = None
 
 
 def laplace_release(
     channel_weights: WeightedChannel,
     noise_scale: float,
     rng: np.random.Generator,
-    seed: int | None = None,
-) -> LaplaceReleaseOutput:
-    """Add Lap(noise_scale) to every pair weight of an indicator channel.
+) -> WeightedChannel:
+    """Return the channel with Lap(noise_scale) added to every pair weight.
 
     Unbiased: the expected weight of any pair set equals its true weight.
     ``noise_scale == 0`` is the deterministic test mode (not private);
@@ -118,9 +103,7 @@ def laplace_release(
         noisy = vals.copy()
     else:
         noisy = vals + rng.laplace(0.0, noise_scale, size=vals.size)
-    return LaplaceReleaseOutput(
-        WeightedChannel(channel_weights.n, noisy), noise_scale, seed
-    )
+    return WeightedChannel(channel_weights.n, noisy)
 
 
 # ---------------------------------------------------------------------------
@@ -145,23 +128,23 @@ def _sample_set_pairs(n: int, budget: int, rng: np.random.Generator):
     return s_rows, t_rows
 
 
-def _cut_sizes(n: int, s_rows: np.ndarray, t_rows: np.ndarray) -> np.ndarray:
+def _cut_sizes(s_rows: np.ndarray, t_rows: np.ndarray) -> np.ndarray:
     ssz = s_rows.sum(axis=1).astype(np.float64)
     tsz = t_rows.sum(axis=1).astype(np.float64)
     rsz = (s_rows & t_rows).sum(axis=1).astype(np.float64)
     return ssz * tsz - 0.5 * rsz * (rsz + 1.0)
 
 
-def _max_violation_fast(x_mat, wp_mat, wm_mat, iu, iv, cs, sizes, tp, tm):
+def _max_violation(xp, wp, wm, cs, sizes, tp, tm):
     """Largest violation over singleton pairs and cut rows with cut sums ``cs``.
 
-    Returns (lambda, kind, index, signed residual); kind is 'pair+',
-    'pair-', 'cut+' or 'cut-'.
+    ``xp``, ``wp`` and ``wm`` are flat per-pair vectors in canonical pair
+    order.  Returns (lambda, kind, index, signed residual); kind is
+    'pair+', 'pair-', 'cut+' or 'cut-'.
     """
-    xp = x_mat[iu, iv]
     cands = (
-        ("pair+", xp - wp_mat[iu, iv]),
-        ("pair-", (1.0 - xp) - wm_mat[iu, iv]),
+        ("pair+", xp - wp),
+        ("pair-", (1.0 - xp) - wm),
         ("cut+", cs - tp),
         ("cut-", (sizes - cs) - tm),
     )
@@ -182,24 +165,27 @@ def solve_merge_lp(
     wminus: WeightedChannel,
     constraint_budget: int | None,
     rng: np.random.Generator,
-    iterations: int = 2000,
-    strategy: str = "sampled-lp",
+    iterations: int = MergeConfig.iterations,
+    strategy: str = MergeConfig.strategy,
 ) -> MergeSolution:
     """Merge two noisy channels into edge probabilities.
 
     ``constraint_budget`` counts the random (S, T) rows and, separately,
-    the random complement rows (default 4n each).  Budget 0 falls back
-    to the per-edge rule ``x = clip((W+ + 1 - W-) / 2, 0, 1)``, the exact
-    solution of the singleton-only problem.  The returned ``lam`` is the
-    maximum violation over a fresh constraint sample.
+    the random complement rows (default 4n each, at least 1).  Strategy
+    ``"per-edge"`` stops at the per-edge rule
+    ``x = clip((W+ + 1 - W-) / 2, 0, 1)``, the exact solution of the
+    singleton-only problem; ``"sampled-lp"`` refines it by subgradient
+    descent on the sampled family.  The returned ``lam`` is the maximum
+    violation over a fresh constraint sample of the same budget.
     """
     if wplus.n != wminus.n:
         raise ContractViolation("channels must share a vertex count")
+    # refuses exactly what the config refuses
+    MergeConfig(strategy=strategy, constraint_budget=constraint_budget, iterations=iterations)
     n = wplus.n
     if constraint_budget is None:
         constraint_budget = 4 * n
-    if constraint_budget < 0:
-        raise ContractViolation("constraint_budget must be >= 0")
+    wp, wm = wplus.values, wminus.values
     wp_mat = wplus.matrix()
     wm_mat = wminus.matrix()
     iu, iv = np.triu_indices(n, 1)
@@ -208,12 +194,9 @@ def solve_merge_lp(
     np.fill_diagonal(x_mat, 0.0)
     iterations_run = 0
 
-    if strategy == "per-edge" or constraint_budget == 0:
-        tag = "per-edge"
-    else:
-        tag = "sampled-lp"
+    if strategy == "sampled-lp":
         s_rows, t_rows = _sample_set_pairs(n, constraint_budget, rng)
-        sizes = _cut_sizes(n, s_rows, t_rows)
+        sizes = _cut_sizes(s_rows, t_rows)
         tp = cut_sums(wp_mat, s_rows, t_rows)
         tm = cut_sums(wm_mat, s_rows, t_rows)
         # hoisted float views; the overlap term only matters where S and T meet
@@ -229,8 +212,8 @@ def solve_merge_lp(
             cs = ((s_f @ x_mat) * t_f).sum(axis=1)
             if ov_idx.size:
                 cs[ov_idx] -= 0.5 * ((r_f @ x_mat) * r_f).sum(axis=1)
-            lam, kind, idx, signed = _max_violation_fast(
-                x_mat, wp_mat, wm_mat, iu, iv, cs, sizes, tp, tm
+            lam, kind, idx, signed = _max_violation(
+                x_mat[iu, iv], wp, wm, cs, sizes, tp, tm
             )
             if not np.isfinite(best_lam) or lam < best_lam - 1e-6 * max(best_lam, 1.0):
                 best_lam = lam
@@ -263,19 +246,18 @@ def solve_merge_lp(
         x_mat = best_x
 
     # honest audit: fresh constraints, never the training family
-    a_s, a_t = _sample_set_pairs(n, max(constraint_budget, 1), rng)
-    a_sizes = _cut_sizes(n, a_s, a_t)
+    a_s, a_t = _sample_set_pairs(n, constraint_budget, rng)
+    a_sizes = _cut_sizes(a_s, a_t)
     a_cs = cut_sums(x_mat, a_s, a_t)
     a_tp = cut_sums(wp_mat, a_s, a_t)
     a_tm = cut_sums(wm_mat, a_s, a_t)
-    lam_audit, _, _, _ = _max_violation_fast(
-        x_mat, wp_mat, wm_mat, iu, iv, a_cs, a_sizes, a_tp, a_tm
-    )
+    x = x_mat[iu, iv]
+    lam_audit, _, _, _ = _max_violation(x, wp, wm, a_cs, a_sizes, a_tp, a_tm)
     checked = 2 * iu.size + 2 * a_s.shape[0]
     return MergeSolution(
-        x=x_mat[iu, iv].copy(),
+        x=x,
         lam=float(lam_audit),
-        strategy=tag,
+        strategy=strategy,
         constraints_checked=int(checked),
         iterations_run=iterations_run,
     )
@@ -298,51 +280,52 @@ def round_to_signed(solution: MergeSolution, rng: np.random.Generator) -> Signed
 def release_unweighted(
     graph: SignedGraph,
     params: PrivacyParams,
-    config: UnweightedReleaseConfig | None = None,
+    merge: MergeConfig | None = None,
     rng: np.random.Generator | None = None,
+    *,
+    seed: int | None = None,
+    zero_noise: bool = False,
 ) -> tuple[SignedGraph, ReleaseOutput]:
     """eps-DP synthetic release of an unweighted complete signed graph.
 
     Noises both sign channels at per-coordinate scale ``2 / eps``, merges
-    them into edge probabilities, and rounds.  Everything after the
-    noising is post-processing.  With ``unsafe_zero_noise`` the noise is
-    suppressed and the output equals the input; that mode exists for
-    pipeline tests and is flagged non-private in the audit metadata.
+    them into edge probabilities under ``merge`` (default
+    :class:`MergeConfig`), and rounds.  Everything after the noising is
+    post-processing.  ``seed`` is only recorded in the audit.  With
+    ``zero_noise`` the noise is suppressed and the output equals the
+    input; that mode exists for pipeline tests and is flagged non-private
+    in the audit metadata.
     """
-    config = config or UnweightedReleaseConfig()
+    merge = merge or MergeConfig()
     if rng is None:
         raise ContractViolation("an explicit rng is required")
     if not graph.complete or not graph.is_unweighted:
         raise ContractViolation("release_unweighted needs an unweighted complete graph")
     if params.delta != 0:
         raise ContractViolation("this mechanism is pure DP; delta must be 0")
-    scale = 0.0 if config.unsafe_zero_noise else 2.0 / params.epsilon
+    scale = 0.0 if zero_noise else 2.0 / params.epsilon
     n = graph.n
-    rel_plus = laplace_release(
-        WeightedChannel(n, graph.channel_flat(1)), scale, rng, config.seed
-    )
-    rel_minus = laplace_release(
-        WeightedChannel(n, graph.channel_flat(-1)), scale, rng, config.seed
-    )
-    merge = solve_merge_lp(
-        rel_plus.channel,
-        rel_minus.channel,
-        config.merge.constraint_budget,
+    noisy_plus = laplace_release(WeightedChannel(n, graph.channel_flat(1)), scale, rng)
+    noisy_minus = laplace_release(WeightedChannel(n, graph.channel_flat(-1)), scale, rng)
+    solution = solve_merge_lp(
+        noisy_plus,
+        noisy_minus,
+        merge.constraint_budget,
         rng,
-        iterations=config.merge.iterations,
-        strategy=config.merge.strategy,
+        iterations=merge.iterations,
+        strategy=merge.strategy,
     )
-    released = round_to_signed(merge, rng)
+    released = round_to_signed(solution, rng)
     audit = ReleaseOutput(
         mechanism="unweighted-laplace-merge-round",
         epsilon=params.epsilon,
         delta=0.0,
         noise_scale=scale,
         channel_budgets=(params.epsilon / 2.0, params.epsilon / 2.0),
-        lambda_residual=merge.lam,
-        merge_strategy=merge.strategy,
-        constraints_checked=merge.constraints_checked,
-        seed=config.seed,
-        private=not config.unsafe_zero_noise,
+        lambda_residual=solution.lam,
+        merge_strategy=solution.strategy,
+        constraints_checked=solution.constraints_checked,
+        seed=seed,
+        private=not zero_noise,
     )
     return released, audit

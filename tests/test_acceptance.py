@@ -181,7 +181,7 @@ def test_criterion_05_laplace_release_statistics():
     ch = WeightedChannel(n, g.channel_flat(1))
     acc = np.zeros(ch.values.size)
     for _ in range(releases):
-        acc += laplace_release(ch, b, rng).channel.values
+        acc += laplace_release(ch, b, rng).values
     means = acc / releases
     for _ in range(100):
         f = rng.random(ch.values.size) < 0.5

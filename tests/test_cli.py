@@ -85,6 +85,34 @@ def test_matrix_command(tmp_path):
     assert len(out_csv.read_text().strip().splitlines()) == 7  # header + 6
 
 
+@pytest.mark.parametrize("where, key, target", [
+    ("instance", "size", lambda cfg: cfg["instances"][0]),
+    ("pipeline", "refine_after_coarsen", lambda cfg: cfg["pipelines"][0]),
+    ("solver", "max_passes", lambda cfg: cfg["pipelines"][0].setdefault("solver", {})),
+    ("merge", "budget", lambda cfg: cfg["pipelines"][0]["merge"]),
+], ids=["instance", "pipeline", "solver", "merge"])
+def test_matrix_refuses_unknown_keys(tmp_path, capsys, where, key, target):
+    cfg = {
+        "instances": [{"kind": "planted", "n": 8, "clusters": 2, "seed": 1}],
+        "epsilons": [1.0],
+        "pipelines": [{"mechanism": "unweighted-laplace", "merge": {"iterations": 40}}],
+    }
+    target(cfg)[key] = 1
+    cfg_path = tmp_path / "matrix.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(["matrix", "--config", cfg_path, "--output", tmp_path / "r.csv"]) == 2
+    assert f"unknown {where} keys: {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_release_refuses_budget_below_one(tmp_path, budget):
+    g_path = tmp_path / "g.txt"
+    run(["generate", "--kind", "random-signs", "--n", "8", "--seed", "3",
+         "--output", g_path])
+    assert run(["release", "--input", g_path, "--constraint-budget", budget,
+                "--audit", tmp_path / "audit.json"]) == 2
+
+
 def test_verify_dp_passes(capsys):
     assert run(["verify-dp", "--n", "4", "--instances", "2",
                 "--epsilon", "0.5"]) == 0

@@ -16,7 +16,6 @@ from privcc import (
 from privcc._rng import make_rng
 from privcc.release_unweighted import (
     MergeConfig,
-    UnweightedReleaseConfig,
     laplace_release,
     release_unweighted,
     round_to_signed,
@@ -40,7 +39,7 @@ class TestLaplace:
         b = 2.0
         ch = WeightedChannel(2, np.array([1.0]))
         draws = np.array(
-            [laplace_release(ch, b, rng).channel.values[0] for _ in range(20000)]
+            [laplace_release(ch, b, rng).values[0] for _ in range(20000)]
         )
         assert abs(draws.mean() - 1.0) <= 4 * b / math.sqrt(20000)
 
@@ -49,7 +48,7 @@ class TestLaplace:
         b = 1.5
         ch = WeightedChannel(2, np.array([0.0]))
         draws = np.array(
-            [laplace_release(ch, b, rng).channel.values[0] for _ in range(20000)]
+            [laplace_release(ch, b, rng).values[0] for _ in range(20000)]
         )
         assert draws.var() == pytest.approx(2 * b * b, rel=0.10)
 
@@ -58,7 +57,7 @@ class TestLaplace:
         g = random_graph(rng, 6, complete=True)
         ch, _ = indicator_channels(g)
         out = laplace_release(ch, 0.0, rng)
-        assert np.array_equal(out.channel.values, ch.values)
+        assert np.array_equal(out.values, ch.values)
 
     def test_rejects_bad_inputs(self):
         rng = make_rng(54)
@@ -72,8 +71,8 @@ class TestLaplace:
         g = random_graph(rng, 10, complete=True)
         ch, _ = indicator_channels(g)
         out = laplace_release(ch, 2.0, rng)
-        assert out.channel.values.size == 45
-        assert np.all(out.channel.values != ch.values)  # a.s. for continuous noise
+        assert out.values.size == 45
+        assert np.all(out.values != ch.values)  # a.s. for continuous noise
 
     def test_unbiased_over_pair_sets(self):
         rng = make_rng(56)
@@ -82,7 +81,7 @@ class TestLaplace:
         b, releases = 2.0, 2000
         acc = np.zeros(45)
         for _ in range(releases):
-            acc += laplace_release(ch, b, rng).channel.values
+            acc += laplace_release(ch, b, rng).values
         means = acc / releases
         for _ in range(30):
             f = rng.random(45) < 0.5
@@ -97,12 +96,22 @@ class TestMerge:
         sol = solve_merge_lp(
             WeightedChannel(2, np.array([0.7])),
             WeightedChannel(2, np.array([0.3])),
-            0,
+            1,
             make_rng(57),
+            strategy="per-edge",
         )
         assert sol.strategy == "per-edge"
         assert sol.x[0] == pytest.approx(0.7)
         assert sol.lam == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_refused(self, budget):
+        with pytest.raises(ContractViolation):
+            MergeConfig(constraint_budget=budget)
+        ch = WeightedChannel(3, np.array([0.5, 0.2, 0.9]))
+        for strategy in ("sampled-lp", "per-edge"):
+            with pytest.raises(ContractViolation):
+                solve_merge_lp(ch, ch, budget, make_rng(57), strategy=strategy)
 
     def test_noiseless_channels_zero_residual(self):
         rng = make_rng(58)
@@ -116,8 +125,8 @@ class TestMerge:
         rng = make_rng(59)
         g = random_graph(rng, 15, complete=True)
         wp, wm = indicator_channels(g)
-        noisy_p = laplace_release(wp, 2.0, rng).channel
-        noisy_m = laplace_release(wm, 2.0, rng).channel
+        noisy_p = laplace_release(wp, 2.0, rng)
+        noisy_m = laplace_release(wm, 2.0, rng)
         for strategy in ("sampled-lp", "per-edge"):
             sol = solve_merge_lp(noisy_p, noisy_m, 16, rng, strategy=strategy)
             assert np.all(sol.x >= 0.0) and np.all(sol.x <= 1.0)
@@ -130,8 +139,8 @@ class TestMerge:
         rng = make_rng(60)
         g = random_graph(rng, 100, complete=True)
         wp, wm = indicator_channels(g)
-        noisy_p = laplace_release(wp, 2.0, rng).channel
-        noisy_m = laplace_release(wm, 2.0, rng).channel
+        noisy_p = laplace_release(wp, 2.0, rng)
+        noisy_m = laplace_release(wm, 2.0, rng)
         lam_lp = solve_merge_lp(noisy_p, noisy_m, None, make_rng(1)).lam
         lam_pe = solve_merge_lp(
             noisy_p, noisy_m, None, make_rng(1), strategy="per-edge"
@@ -201,9 +210,7 @@ class TestReleaseUnweighted:
     def test_zero_noise_identity(self):
         rng = make_rng(65)
         g = random_graph(rng, 12, complete=True)
-        h, audit = release_unweighted(
-            g, PrivacyParams(1.0), UnweightedReleaseConfig(unsafe_zero_noise=True), rng
-        )
+        h, audit = release_unweighted(g, PrivacyParams(1.0), None, rng, zero_noise=True)
         assert neighbor_distance(g, h) == 0.0
         assert not audit.private
 
