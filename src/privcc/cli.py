@@ -41,6 +41,7 @@ from .solvers import (
     MAX_AGREEMENT,
     MIN_DISAGREEMENT,
     SolverConfig,
+    cap_clusters,
     local_search,
     pivot_kwikcluster,
     solve,
@@ -136,11 +137,12 @@ def _cmd_cluster(args) -> int:
     )
     if args.solver == "exact":
         clustering = solve_exact(graph, cfg)
-    elif args.solver == "pivot":
+    elif args.solver in ("pivot", "local-search"):
         clustering = pivot_kwikcluster(graph, make_rng(args.seed, "pivot"))
-    elif args.solver == "local-search":
-        start = pivot_kwikcluster(graph, make_rng(args.seed, "pivot"))
-        clustering = local_search(graph, start, cfg)
+        if args.k is not None:
+            clustering = cap_clusters(clustering, args.k)
+        if args.solver == "local-search":
+            clustering = local_search(graph, clustering, cfg)
     else:
         clustering = solve(graph, cfg)
     payload = {

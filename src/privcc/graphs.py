@@ -239,7 +239,7 @@ class SignedGraph:
 
     def net_matrix(self) -> np.ndarray:
         """Dense signed-weight matrix, positive minus negative channel."""
-        return self.channel_matrix(1) - self.channel_matrix(-1)
+        return _symmetric(self.n, self.pair_u, self.pair_v, self.pos_w - self.neg_w)
 
     def iter_edges(self):
         """Yield ``(u, v, sign, weight)`` for every edge, positives first per pair."""

@@ -43,6 +43,7 @@ __all__ = [
     "solve_exact",
     "pivot_kwikcluster",
     "local_search",
+    "cap_clusters",
     "solve",
 ]
 
@@ -175,6 +176,12 @@ def local_search(
     ``max_clusters`` nonempty clusters exist).  Stops when no move
     improves the objective or after ``_MAX_PASSES`` sweeps of n moves.
     The objective never worsens.
+
+    The margin matrix holds one column per cluster id in use plus one
+    empty column, and grows (doubling) only when a move fills its last
+    column, so each move costs O(n*k) for k clusters, not O(n^2).  The
+    columns it leaves out are empty and never the first empty one, so
+    the moves, and their tie-breaks, are those of an n-column matrix.
     """
     cfg = cfg or SolverConfig()
     if start.n != graph.n:
@@ -184,12 +191,13 @@ def local_search(
     if start.k > kmax:
         raise ContractViolation(f"start has {start.k} clusters, limit is {kmax}")
     # margin[v, c] = cost of v sitting in cluster c, up to a per-vertex constant
-    comargin = graph.channel_matrix(-1) - graph.channel_matrix(1)
+    comargin = -graph.net_matrix()
 
+    rows = np.arange(n)
     labels = start.assignment.astype(np.int64).copy()
-    ncols = min(n, max(start.k + 1, kmax) + 1)
-    ind = np.zeros((n, ncols))
-    ind[np.arange(n), labels] = 1.0
+    full = min(n, max(start.k + 1, kmax) + 1)
+    ind = np.zeros((n, min(start.k + 1, full)))
+    ind[rows, labels] = 1.0
     margins = comargin @ ind
     sizes = ind.sum(axis=0)
 
@@ -198,7 +206,7 @@ def local_search(
     best_err = disagreement(Clustering(labels), graph)
     moves_done = 0
     while moves_done < moves_budget:
-        current = margins[np.arange(n), labels]
+        current = margins[rows, labels]
         delta = margins - current[:, None]
         # occupied columns only, except one spare column acting as "new cluster"
         occupied = sizes > 0
@@ -209,7 +217,7 @@ def local_search(
             # moving a non-singleton vertex out into an empty column
             movable = sizes[labels] > 1
             delta[movable, spare[0]] = -current[movable]
-        delta[np.arange(n), labels] = np.inf
+        delta[rows, labels] = np.inf
         flat = int(np.argmin(delta))
         v, target = divmod(flat, delta.shape[1])
         gain = delta[v, target]
@@ -221,17 +229,24 @@ def local_search(
         margins[:, target] += comargin[:, v]
         sizes[old] -= 1
         sizes[target] += 1
+        if sizes[-1] > 0 and sizes.size < full:
+            # keep an empty column in reach: the next "new cluster" target
+            grow = min(sizes.size, full - sizes.size)
+            margins = np.hstack([margins, np.zeros((n, grow))])
+            sizes = np.concatenate([sizes, np.zeros(grow)])
         moves_done += 1
         if moves_done % n == 0:
             err_now = disagreement(Clustering(labels), graph)
-            assert err_now <= best_err + 1e-6, "local search must be monotone"
+            if not err_now <= best_err + 1e-6:
+                raise AssertionError("local search must be monotone")
             best_err = err_now
     result = Clustering(labels)
-    assert result.k <= kmax, "local search exceeded max_clusters"
+    if result.k > kmax:
+        raise AssertionError("local search exceeded max_clusters")
     return result
 
 
-def _cap_clusters(clustering: Clustering, kmax: int) -> Clustering:
+def cap_clusters(clustering: Clustering, kmax: int) -> Clustering:
     """Merge all but the kmax-1 largest clusters into one bucket."""
     if clustering.k <= kmax:
         return clustering
@@ -265,7 +280,7 @@ def solve(graph: SignedGraph, cfg: SolverConfig | None = None) -> Clustering:
         rng = make_rng(cfg.seed, "pivot-restart", restart)
         cand = pivot_kwikcluster(graph, rng)
         if cfg.max_clusters is not None:
-            cand = _cap_clusters(cand, cfg.max_clusters)
+            cand = cap_clusters(cand, cfg.max_clusters)
         cand = local_search(graph, cand, cfg)
         err = disagreement(cand, graph)
         if err < best_err - 1e-12 or (

@@ -141,3 +141,14 @@ def test_exit_codes(tmp_path):
     lines = [f"{u} {v} +" for u in range(n) for v in range(u + 1, n)]
     big.write_text(f"{n} {len(lines)}\n" + "\n".join(lines) + "\n")
     assert run(["cluster", "--input", big, "--solver", "exact"]) == 3
+
+
+@pytest.mark.parametrize("solver", ["pivot", "local-search"])
+def test_cluster_respects_k(tmp_path, solver):
+    g_path = tmp_path / "g.txt"
+    run(["generate", "--kind", "random-signs", "--n", "40", "--seed", "3",
+         "--output", g_path])
+    out = tmp_path / "clust.json"
+    assert run(["cluster", "--input", g_path, "--solver", solver, "--k", "3",
+                "--output", out]) == 0
+    assert json.loads(out.read_text())["k"] <= 3

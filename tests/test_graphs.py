@@ -255,3 +255,11 @@ class TestTypes:
         m = g.channel_matrix(1)
         pu, pv = np.triu_indices(7, 1)
         assert np.array_equal(g.channel_flat(1), m[pu, pv])
+
+    def test_net_matrix_is_channel_difference(self):
+        rng = make_rng(19)
+        g = random_graph(rng, 25, weighted=True, parallel=True)
+        net = g.net_matrix()
+        ref = g.channel_matrix(1) - g.channel_matrix(-1)
+        assert net.tobytes() == ref.tobytes()
+        assert (np.signbit(net) == np.signbit(ref)).all()

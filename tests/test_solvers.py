@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,8 +15,10 @@ from privcc import (
 )
 from privcc._rng import make_rng
 from privcc.solvers import (
+    _MAX_PASSES,
     MAX_AGREEMENT,
     SolverConfig,
+    cap_clusters,
     enumerate_partitions,
     local_search,
     partition_disagreements,
@@ -149,6 +156,84 @@ class TestLocalSearch:
             start = Clustering(rng.integers(0, 3, size=10))
             out = local_search(g, start, SolverConfig(max_clusters=3))
             assert out.k <= 3
+
+    def test_all_negative_splits_to_singletons_or_the_cap(self):
+        n = 30
+        pu, pv = np.triu_indices(n, 1)
+        g = SignedGraph(n, pu, pv, np.zeros(pu.size), np.ones(pu.size), complete=True)
+        start = Clustering.one_cluster(n)
+        assert local_search(g, start).k == n
+        assert local_search(g, start, SolverConfig(max_clusters=5)).k == 5
+
+    def test_matches_full_width_reference(self):
+        rng = make_rng(18)
+        for trial in range(24):
+            n = int(rng.integers(13, 61))
+            g = random_graph(rng, n, weighted=True, parallel=True)
+            starts = [
+                pivot_kwikcluster(g, rng),
+                Clustering.one_cluster(n),
+                Clustering(rng.integers(0, int(rng.integers(1, n + 1)), size=n)),
+            ]
+            for start in starts:
+                for kmax in (None, 2, 3):
+                    capped = start if kmax is None else cap_clusters(start, kmax)
+                    cfg = SolverConfig(max_clusters=kmax)
+                    expected = full_width_local_search(g, capped, cfg)
+                    assert local_search(g, capped, cfg) == expected
+
+    def test_invariant_checks_survive_optimize(self):
+        # five vertices that need five moves from one cluster, so the
+        # monotonicity check runs once; a rising objective must trip it
+        script = (
+            "import numpy as np\n"
+            "from privcc import Clustering, SignedGraph, solvers\n"
+            "w = np.array([-4., 1, 2, -1, 3, 2, -3, -4, -1, 3])\n"
+            "pu, pv = np.triu_indices(5, 1)\n"
+            "g = SignedGraph(5, pu, pv, np.maximum(w, 0), np.maximum(-w, 0), complete=True)\n"
+            "calls = iter(range(100))\n"
+            "solvers.disagreement = lambda c, graph: float(next(calls))\n"
+            "solvers.local_search(g, Clustering.one_cluster(5))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode != 0
+        assert "AssertionError: local search must be monotone" in proc.stderr
+
+
+def full_width_local_search(graph, start, cfg):
+    """Reference local search with one margin column per possible cluster."""
+    n = graph.n
+    kmax = cfg.max_clusters if cfg.max_clusters is not None else n
+    comargin = graph.channel_matrix(-1) - graph.channel_matrix(1)
+    labels = start.assignment.astype(np.int64).copy()
+    ncols = min(n, max(start.k + 1, kmax) + 1)
+    ind = np.zeros((n, ncols))
+    ind[np.arange(n), labels] = 1.0
+    margins = comargin @ ind
+    sizes = ind.sum(axis=0)
+    for _ in range(_MAX_PASSES * n):
+        current = margins[np.arange(n), labels]
+        delta = margins - current[:, None]
+        occupied = sizes > 0
+        spare = np.flatnonzero(~occupied)
+        delta[:, ~occupied] = np.inf
+        if int(occupied.sum()) < kmax and spare.size:
+            movable = sizes[labels] > 1
+            delta[movable, spare[0]] = -current[movable]
+        delta[np.arange(n), labels] = np.inf
+        v, target = divmod(int(np.argmin(delta)), delta.shape[1])
+        if not (delta[v, target] < -1e-9):
+            break
+        old = labels[v]
+        labels[v] = target
+        margins[:, old] -= comargin[:, v]
+        margins[:, target] += comargin[:, v]
+        sizes[old] -= 1
+        sizes[target] += 1
+    return Clustering(labels)
 
 
 class TestSolve:
