@@ -23,7 +23,7 @@ from .graphs import (
     agreement,
     disagreement,
 )
-from .io import read_edge_list, write_edge_list
+from .io import format_edge_list, read_edge_list, write_edge_list
 from .release_unweighted import MergeConfig
 from .release_weighted import release_weighted, sampled_cut_distance
 from .expmech import exact_output_distribution, exponential_mechanism
@@ -50,8 +50,6 @@ from .solvers import (
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", type=str, default=None)
 
@@ -92,12 +90,7 @@ def _emit(text: str, path: str | None) -> None:
 def _cmd_generate(args) -> int:
     spec = _spec_from_args(args)
     graph, truth = generate_instance(spec)
-    if args.output:
-        write_edge_list(graph, args.output)
-    else:
-        from .io import format_edge_list
-
-        sys.stdout.write(format_edge_list(graph))
+    _emit(format_edge_list(graph), args.output)
     if args.truth_output and truth is not None:
         with open(args.truth_output, "w", encoding="utf-8") as fh:
             json.dump({"n": truth.n, "k": truth.k,
@@ -166,7 +159,7 @@ def _cmd_pipeline(args) -> int:
         label = spec.label()
     config = PipelineConfig(
         mechanism=args.mechanism,
-        solver=SolverConfig(max_clusters=args.k, restarts=args.restarts),
+        solver=SolverConfig(restarts=args.restarts),
         engine=args.engine,
         coarsen_enabled=not args.no_coarsen,
         zero_noise=args.zero_noise,
@@ -272,6 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("release", help="privately release a graph")
     _add_common(p)
+    p.add_argument("--epsilon", type=float, default=1.0)
+    p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--input", required=True)
     p.add_argument("--mechanism", default=PipelineConfig.mechanism,
                    choices=["unweighted-laplace", "weighted-laplace"])
@@ -297,6 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="release then cluster then evaluate")
     _add_common(p)
+    p.add_argument("--epsilon", type=float, default=1.0)
+    p.add_argument("--delta", type=float, default=0.0)
     _instance_args(p)
     p.add_argument("--input", type=str, default=None)
     p.add_argument("--mechanism", default=PipelineConfig.mechanism,
@@ -326,6 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lowerbound", help="packing experiment on path instances")
     _add_common(p)
+    p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--beta", type=float, default=0.1)
     p.add_argument("--target", type=int, default=16)
@@ -339,6 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit-cuts",
                        help="release a weighted graph and audit cut distances")
     _add_common(p)
+    p.add_argument("--epsilon", type=float, default=1.0)
+    p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--input", required=True)
     p.add_argument("--engine", default="laplace")
     p.add_argument("--samples", type=int, default=256)

@@ -38,6 +38,7 @@ __all__ = [
     "disagreement_cut_form",
     "neighbor_distance",
     "split_signs",
+    "CutRows",
     "cut_sums",
 ]
 
@@ -466,17 +467,35 @@ def signed_cut_weight(graph: SignedGraph, s, t, sign: int) -> float:
     return float(w[in_cut].sum())
 
 
-def cut_sums(matrix: np.ndarray, s_rows: np.ndarray, t_rows: np.ndarray) -> np.ndarray:
-    """Counted-once cut sums of a symmetric matrix for every (S, T) row.
+class CutRows:
+    """(S, T) rows from boolean (rows, n) masks, prepared for cut sums.
 
-    ``s_rows`` and ``t_rows`` are boolean (rows, n) masks.  Row i gets
-    ``s' M t - (r' M r) / 2`` with r the overlap of S and T, which counts
-    every unordered pair meeting the cut exactly once.
+    Holds the float masks ``s`` and ``t``, the indices ``meet`` of the rows
+    where S and T overlap, those rows' overlap masks ``r`` (the overlap is
+    empty elsewhere) and ``sizes``, the number of pairs each cut counts.
     """
-    s = s_rows.astype(np.float64)
-    t = t_rows.astype(np.float64)
-    r = (s_rows & t_rows).astype(np.float64)
-    return ((s @ matrix) * t).sum(axis=1) - 0.5 * ((r @ matrix) * r).sum(axis=1)
+
+    __slots__ = ("s", "t", "meet", "r", "sizes")
+
+    def __init__(self, s_rows: np.ndarray, t_rows: np.ndarray):
+        overlap = s_rows & t_rows
+        self.s = s_rows.astype(np.float64)
+        self.t = t_rows.astype(np.float64)
+        self.meet = np.flatnonzero(overlap.any(axis=1))
+        self.r = overlap[self.meet].astype(np.float64)
+        rsz = overlap.sum(axis=1).astype(np.float64)
+        self.sizes = self.s.sum(axis=1) * self.t.sum(axis=1) - 0.5 * rsz * (rsz + 1.0)
+
+    def sums(self, matrix: np.ndarray) -> np.ndarray:
+        """Cut sums ``s' M t - (r' M r) / 2`` of a symmetric M, each pair once."""
+        cs = ((self.s @ matrix) * self.t).sum(axis=1)
+        cs[self.meet] -= 0.5 * ((self.r @ matrix) * self.r).sum(axis=1)
+        return cs
+
+
+def cut_sums(matrix: np.ndarray, s_rows: np.ndarray, t_rows: np.ndarray) -> np.ndarray:
+    """Counted-once cut sums of a symmetric matrix for every (S, T) row."""
+    return CutRows(s_rows, t_rows).sums(matrix)
 
 
 def disagreement_cut_form(clustering: Clustering, graph: SignedGraph) -> float:

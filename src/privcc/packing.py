@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Clustering, ContractViolation, PrivacyParams, SignedGraph
+from .graphs import Clustering, ContractViolation, PrivacyParams, SignedGraph, disagreement
 
 __all__ = [
     "Codebook",
@@ -175,8 +175,6 @@ def packing_experiment(
     eps-private mechanism must pay on this family at the matched edge
     weight ``alpha / (2 * eps)``.
     """
-    from .graphs import disagreement  # local to keep module import light
-
     if repetitions < 1:
         raise ContractViolation("repetitions must be >= 1")
     n = codebook.n

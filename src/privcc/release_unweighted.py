@@ -38,11 +38,11 @@ import numpy as np
 
 from .graphs import (
     ContractViolation,
+    CutRows,
     PrivacyParams,
     ReleaseOutput,
     SignedGraph,
     WeightedChannel,
-    cut_sums,
 )
 
 __all__ = [
@@ -128,13 +128,6 @@ def _sample_set_pairs(n: int, budget: int, rng: np.random.Generator):
     return s_rows, t_rows
 
 
-def _cut_sizes(s_rows: np.ndarray, t_rows: np.ndarray) -> np.ndarray:
-    ssz = s_rows.sum(axis=1).astype(np.float64)
-    tsz = t_rows.sum(axis=1).astype(np.float64)
-    rsz = (s_rows & t_rows).sum(axis=1).astype(np.float64)
-    return ssz * tsz - 0.5 * rsz * (rsz + 1.0)
-
-
 def _max_violation(xp, wp, wm, cs, sizes, tp, tm):
     """Largest violation over singleton pairs and cut rows with cut sums ``cs``.
 
@@ -195,25 +188,14 @@ def solve_merge_lp(
     iterations_run = 0
 
     if strategy == "sampled-lp":
-        s_rows, t_rows = _sample_set_pairs(n, constraint_budget, rng)
-        sizes = _cut_sizes(s_rows, t_rows)
-        tp = cut_sums(wp_mat, s_rows, t_rows)
-        tm = cut_sums(wm_mat, s_rows, t_rows)
-        # hoisted float views; the overlap term only matters where S and T meet
-        s_f = s_rows.astype(np.float64)
-        t_f = t_rows.astype(np.float64)
-        overlap = s_rows & t_rows
-        ov_idx = np.flatnonzero(overlap.any(axis=1))
-        r_f = overlap[ov_idx].astype(np.float64)
+        rows = CutRows(*_sample_set_pairs(n, constraint_budget, rng))
+        tp, tm = rows.sums(wp_mat), rows.sums(wm_mat)
         best_lam = np.inf
         best_x = x_mat.copy()
         stale = 0
         for t in range(1, iterations + 1):
-            cs = ((s_f @ x_mat) * t_f).sum(axis=1)
-            if ov_idx.size:
-                cs[ov_idx] -= 0.5 * ((r_f @ x_mat) * r_f).sum(axis=1)
             lam, kind, idx, signed = _max_violation(
-                x_mat[iu, iv], wp, wm, cs, sizes, tp, tm
+                x_mat[iu, iv], wp, wm, rows.sums(x_mat), rows.sizes, tp, tm
             )
             if not np.isfinite(best_lam) or lam < best_lam - 1e-6 * max(best_lam, 1.0):
                 best_lam = lam
@@ -231,34 +213,27 @@ def solve_merge_lp(
                 x_mat[u, v] -= step * delta
                 x_mat[v, u] = x_mat[u, v]
             else:
-                s = s_rows[idx].astype(np.float64)
-                tt = t_rows[idx].astype(np.float64)
-                r = (s_rows[idx] & t_rows[idx]).astype(np.float64)
-                # per-pair coefficient s_u t_v + s_v t_u - r_u r_v in {0, 1}
-                grad = np.outer(s, tt)
-                grad = grad + grad.T - np.outer(r, r)
-                np.fill_diagonal(grad, 0.0)
-                norm_sq = max(sizes[idx], 1.0)
+                # the gradient is 1 on pairs meeting the cut and 0 elsewhere
+                hit = np.outer(rows.s[idx], rows.t[idx]) > 0
+                hit |= hit.T
+                np.fill_diagonal(hit, False)
+                norm_sq = max(rows.sizes[idx], 1.0)
                 delta = signed if kind == "cut+" else -signed
-                x_mat -= (step * delta / norm_sq) * grad
+                x_mat[hit] -= step * delta / norm_sq
             np.clip(x_mat, 0.0, 1.0, out=x_mat)
             np.fill_diagonal(x_mat, 0.0)
         x_mat = best_x
 
     # honest audit: fresh constraints, never the training family
-    a_s, a_t = _sample_set_pairs(n, constraint_budget, rng)
-    a_sizes = _cut_sizes(a_s, a_t)
-    a_cs = cut_sums(x_mat, a_s, a_t)
-    a_tp = cut_sums(wp_mat, a_s, a_t)
-    a_tm = cut_sums(wm_mat, a_s, a_t)
+    audit = CutRows(*_sample_set_pairs(n, constraint_budget, rng))
     x = x_mat[iu, iv]
-    lam_audit, _, _, _ = _max_violation(x, wp, wm, a_cs, a_sizes, a_tp, a_tm)
-    checked = 2 * iu.size + 2 * a_s.shape[0]
+    cs, tp, tm = (audit.sums(m) for m in (x_mat, wp_mat, wm_mat))
+    lam_audit, _, _, _ = _max_violation(x, wp, wm, cs, audit.sizes, tp, tm)
     return MergeSolution(
         x=x,
         lam=float(lam_audit),
         strategy=strategy,
-        constraints_checked=int(checked),
+        constraints_checked=2 * iu.size + 2 * audit.sizes.size,
         iterations_run=iterations_run,
     )
 

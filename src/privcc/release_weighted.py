@@ -1,15 +1,22 @@
 """Private release of weighted or incomplete signed graphs.
 
-The mechanism splits the input into its sign channels, hands each
-channel to a pluggable cut-preserving releaser at half the privacy
+The mechanism splits the input into the sign channels ``max(net, 0)``
+and ``max(-net, 0)`` of its net (positive minus negative) pair weights,
+hands each to a pluggable cut-preserving releaser at half the privacy
 budget, and reunites the outputs as a graph that may carry one positive
 and one negative edge per pair.
 
+Neighbours are graphs at :func:`~privcc.graphs.neighbor_distance` at most
+2, i.e. net weights at L1 distance 2.  Both channel maps are 1-Lipschitz,
+so a neighbour moves each channel by at most 2 in L1, as each half-budget
+releaser assumes (the raw channels move arbitrarily at net distance 0).
+
 For any clustering into k clusters the disagreement (and agreement)
-between input and output differ by at most
+between the graph of those two channels and the output differ by at most
 ``k * (cut_distance(minus channels) + cut_distance(plus channels))``,
 so a releaser's advertised cut error translates directly into an
-objective error bound.
+objective error bound; the input itself differs from that graph by
+``sum(min(pos, neg))`` on every clustering alike.
 
 The default engine adds per-pair Laplace noise, then zeroes weights
 below a threshold of ``scale * ln(n)`` (post-processing, so privacy is
@@ -80,10 +87,10 @@ class CutReleaser(abc.ABC):
 class LaplaceCutReleaser(CutReleaser):
     """Per-pair Laplace noise at scale 2/eps, then threshold and clip.
 
-    Weighted neighbors can move a single channel's weight vector by up to
-    2 in L1, hence the scale.  Weights below ``scale * ln(n)`` are zeroed
-    after noising so that the noise floor on absent pairs does not
-    accumulate across large cuts.
+    Neighbours are at net L1 distance at most 2 (``neighbor_distance``), and
+    each channel is 1-Lipschitz in the net weights, hence the scale.
+    Weights below ``scale * ln(n)`` are zeroed after noising so that the
+    noise floor on absent pairs does not accumulate across large cuts.
     """
 
     name = "laplace"
@@ -160,15 +167,16 @@ def release_weighted(
 ) -> tuple[SignedGraph, ReleaseOutput]:
     """(eps, delta)-DP release of a weighted signed graph.
 
-    Each sign channel goes through ``engine`` at half the budget; the
-    outputs recombine with their signs, possibly giving parallel pairs.
+    Each net-canonical channel goes through ``engine`` at half the budget;
+    the outputs recombine with their signs, possibly giving parallel pairs.
     """
     engine = get_cut_releaser(engine)
     engine.validate_params(params)
     half = params.split(2)
     n = graph.n
-    out_plus = engine.release(WeightedChannel(n, graph.channel_flat(1)), half, rng)
-    out_minus = engine.release(WeightedChannel(n, graph.channel_flat(-1)), half, rng)
+    net = graph.channel_flat(1) - graph.channel_flat(-1)
+    out_plus = engine.release(WeightedChannel(n, np.maximum(net, 0.0)), half, rng)
+    out_minus = engine.release(WeightedChannel(n, np.maximum(-net, 0.0)), half, rng)
     if (out_plus.values < 0).any() or (out_minus.values < 0).any():
         raise ContractViolation(f"engine {engine.name} emitted negative weights")
     released = SignedGraph.from_channel_arrays(

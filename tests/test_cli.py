@@ -3,6 +3,7 @@ import json
 import pytest
 
 from privcc.cli import main
+from privcc.experiments import PipelineConfig
 from privcc.io import read_edge_list
 
 
@@ -68,6 +69,27 @@ def test_pipeline_formats(tmp_path, capsys):
                 "--zero-noise", "--format", "jsonl"]) == 0
     row = json.loads(capsys.readouterr().out)
     assert row["nonprivate_eval"] is True
+
+
+def test_pipeline_k_is_not_a_solver_cap(capsys):
+    # --k is the planted cluster count; the solver runs uncapped, as in a matrix
+    assert run(["pipeline", "--kind", "random-signs", "--n", "40", "--seed", "1",
+                "--format", "jsonl"]) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert row["solver"] == PipelineConfig().solver_id()
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--epsilon", "1"],
+    ["generate", "--delta", "0.1"],
+    ["cluster", "--input", "g.txt", "--epsilon", "1"],
+    ["cluster", "--input", "g.txt", "--delta", "0.1"],
+    ["lowerbound", "--delta", "0.1"],
+])
+def test_unread_budget_flags_refused(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
 
 
 def test_matrix_command(tmp_path):

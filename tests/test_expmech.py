@@ -10,10 +10,17 @@ from privcc import (
     SignedGraph,
     SizeRefusal,
     disagreement,
+    neighbor_distance,
 )
 from privcc._rng import make_rng
 from privcc.expmech import exact_output_distribution, exponential_mechanism
-from privcc.solvers import enumerate_partitions, partition_disagreements, solve_exact
+from privcc.solvers import (
+    MAX_AGREEMENT,
+    MIN_DISAGREEMENT,
+    enumerate_partitions,
+    partition_disagreements,
+    solve_exact,
+)
 
 from helpers import random_graph
 
@@ -94,6 +101,37 @@ def test_exact_dp_neighbor_ratios():
             dist2 = exact_output_distribution(flipped, PrivacyParams(eps))
             for key, p in dist.items():
                 assert abs(math.log(p) - math.log(dist2[key])) <= eps + 1e-9
+
+
+def test_exact_dp_weighted_parallel_neighbor_ratios():
+    # weighted input with parallel pairs; a neighbour adds a common weight to
+    # both channels of one pair and moves the net weights by at most 2 in L1
+    rng = make_rng(29)
+    eps = 1.0
+    for trial in range(10):
+        g = random_graph(rng, 5, weighted=True, parallel=True)
+        neighbors = []
+        for _ in range(15):
+            pos, neg = g.pos_w.copy(), g.neg_w.copy()
+            e = int(rng.integers(pos.size))
+            common = 3.0 * rng.random()
+            pos[e] += common
+            neg[e] += common
+            pairs = rng.choice(pos.size, 2, replace=False)
+            for f, shift in zip(pairs, rng.uniform(-1.0, 1.0, 2)):
+                if shift > 0:
+                    pos[f] += shift
+                else:
+                    neg[f] -= shift
+            h = SignedGraph(5, g.pair_u, g.pair_v, pos, neg, parallel_ok=True)
+            assert neighbor_distance(g, h) <= 2.0
+            neighbors.append(h)
+        for objective in (MIN_DISAGREEMENT, MAX_AGREEMENT):
+            dist = exact_output_distribution(g, PrivacyParams(eps), objective)
+            for h in neighbors:
+                dist2 = exact_output_distribution(h, PrivacyParams(eps), objective)
+                for key, p in dist.items():
+                    assert abs(math.log(p) - math.log(dist2[key])) <= eps + 1e-9
 
 
 def test_sampling_matches_exact_distribution():

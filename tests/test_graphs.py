@@ -15,7 +15,7 @@ from privcc import (
     split_signs,
 )
 from privcc._rng import make_rng
-from privcc.graphs import cut_sums
+from privcc.graphs import CutRows, cut_sums
 
 from helpers import random_clustering, random_graph
 
@@ -133,6 +133,10 @@ class TestCuts:
                 s_rows.append(z == 1)
                 t_rows.append(z == 2)
             s_rows, t_rows = np.array(s_rows), np.array(t_rows)
+            # sizes: pairs with one end in S and the other in T, counted once
+            pu, pv = np.triu_indices(n, 1)
+            meets = (s_rows[:, pu] & t_rows[:, pv]) | (s_rows[:, pv] & t_rows[:, pu])
+            assert CutRows(s_rows, t_rows).sizes.tolist() == meets.sum(axis=1).tolist()
             for sign in (1, -1):
                 got = cut_sums(g.channel_matrix(sign), s_rows, t_rows)
                 want = [

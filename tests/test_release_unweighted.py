@@ -14,8 +14,12 @@ from privcc import (
     neighbor_distance,
 )
 from privcc._rng import make_rng
+from privcc.graphs import CutRows
 from privcc.release_unweighted import (
+    _PATIENCE,
     MergeConfig,
+    _max_violation,
+    _sample_set_pairs,
     laplace_release,
     release_unweighted,
     round_to_signed,
@@ -89,7 +93,69 @@ class TestLaplace:
             assert abs(means[f].sum() - ch.values[f].sum()) <= 5 * se
 
 
+def dense_gradient_merge(wplus, wminus, budget, rng, iterations):
+    """The sampled-LP training loop with the dense float cut gradient.
+
+    Reference for the solver's masked cut step: the gradient
+    ``s t' + t s' - r r'`` (diagonal zeroed) has entries 0 or 1, so both
+    steps give the same x bit for bit.  Returns (flat best x, iterations).
+    """
+    n = wplus.n
+    wp, wm = wplus.values, wminus.values
+    wp_mat, wm_mat = wplus.matrix(), wminus.matrix()
+    iu, iv = np.triu_indices(n, 1)
+    x_mat = np.clip((wp_mat + 1.0 - wm_mat) / 2.0, 0.0, 1.0)
+    np.fill_diagonal(x_mat, 0.0)
+    s_rows, t_rows = _sample_set_pairs(n, budget, rng)
+    rows = CutRows(s_rows, t_rows)
+    tp, tm = rows.sums(wp_mat), rows.sums(wm_mat)
+    best_lam, best_x, stale, run = np.inf, x_mat.copy(), 0, 0
+    for t in range(1, iterations + 1):
+        lam, kind, idx, signed = _max_violation(
+            x_mat[iu, iv], wp, wm, rows.sums(x_mat), rows.sizes, tp, tm
+        )
+        if not np.isfinite(best_lam) or lam < best_lam - 1e-6 * max(best_lam, 1.0):
+            best_lam, best_x, stale = lam, x_mat.copy(), 0
+        else:
+            stale += 1
+            if stale >= _PATIENCE:
+                break
+        run = t
+        step = t ** -0.5
+        if kind.startswith("pair"):
+            u, v = int(iu[idx]), int(iv[idx])
+            x_mat[u, v] -= step * (signed if kind == "pair+" else -signed)
+            x_mat[v, u] = x_mat[u, v]
+        else:
+            s = s_rows[idx].astype(np.float64)
+            tt = t_rows[idx].astype(np.float64)
+            r = (s_rows[idx] & t_rows[idx]).astype(np.float64)
+            grad = np.outer(s, tt)
+            grad = grad + grad.T - np.outer(r, r)
+            np.fill_diagonal(grad, 0.0)
+            delta = signed if kind == "cut+" else -signed
+            x_mat -= (step * delta / max(rows.sizes[idx], 1.0)) * grad
+        np.clip(x_mat, 0.0, 1.0, out=x_mat)
+        np.fill_diagonal(x_mat, 0.0)
+    return best_x[iu, iv], run
+
+
 class TestMerge:
+    def test_cut_step_matches_dense_gradient_reference(self):
+        rng = make_rng(61)
+        for n in (5, 12, 30):
+            g = random_graph(rng, n, complete=True)
+            wp, wm = indicator_channels(g)
+            noisy_p = laplace_release(wp, 2.0, rng)
+            noisy_m = laplace_release(wm, 2.0, rng)
+            for budget in (3, None):
+                sol = solve_merge_lp(noisy_p, noisy_m, budget, make_rng(n), iterations=120)
+                want_x, want_run = dense_gradient_merge(
+                    noisy_p, noisy_m, budget or 4 * n, make_rng(n), 120
+                )
+                assert sol.x.tobytes() == want_x.tobytes()
+                assert sol.iterations_run == want_run
+
     def test_per_edge_singleton_solution(self):
         # one pair, W+ = 0.7, W- = 0.3: the midpoint rule gives x = 0.7
         # and both singleton constraints are met exactly

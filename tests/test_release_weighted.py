@@ -140,6 +140,21 @@ class TestEngines:
         assert audit.noise_scale == 6.0  # 3 / (eps/2)
         assert audit.private is False
 
+    @pytest.mark.parametrize("engine", ["laplace", "zero-noise-test"])
+    def test_parallel_pairs_released_as_net_canonical_form(self, engine):
+        # both channels of a pair carrying both signs cost only the net weight
+        g = random_graph(make_rng(86), 12, weighted=True, parallel=True, density=0.8)
+        assert np.any((g.pos_w > 0) & (g.neg_w > 0))
+        net = g.channel_flat(1) - g.channel_flat(-1)
+        canon = SignedGraph.from_channel_arrays(
+            g.n, np.maximum(net, 0.0), np.maximum(-net, 0.0), parallel_ok=True
+        )
+        params = PrivacyParams(1.0)
+        h, _ = release_weighted(g, params, engine, make_rng(87))
+        h_canon, _ = release_weighted(canon, params, engine, make_rng(87))
+        for sign in (1, -1):
+            assert h.channel_flat(sign).tobytes() == h_canon.channel_flat(sign).tobytes()
+
     def test_broken_engine_rejected(self):
         class Broken(CutReleaser):
             name = "broken"
