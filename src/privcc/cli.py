@@ -238,9 +238,11 @@ def _cmd_audit_cuts(args) -> int:
     rng = make_rng(args.seed, "audit-cuts")
     released, audit = release_weighted(graph, params, args.engine, rng,
                                        seed=args.seed)
+    # the mechanism releases the net-canonical channels max(+-net, 0)
+    net = graph.channel_flat(1) - graph.channel_flat(-1)
     report = {}
     for sign, name in ((1, "plus"), (-1, "minus")):
-        a = WeightedChannel(graph.n, graph.channel_flat(sign))
+        a = WeightedChannel(graph.n, np.maximum(sign * net, 0.0))
         b = WeightedChannel(graph.n, released.channel_flat(sign))
         report[f"cut_distance_{name}"] = sampled_cut_distance(
             a, b, args.samples, make_rng(args.seed, "audit-cuts", name)

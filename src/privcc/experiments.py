@@ -196,10 +196,12 @@ class ExperimentRecord:
     err_on_released: float
     eta_hat: float
     lambda_residual: float | None
-    # JSONL only: wall time differs between reruns; the other two are not plot data
+    # JSONL only: wall time differs between reruns; the others are not plot data
     wall_ms: float = field(default=0.0, metadata=_JSONL_ONLY)
     coarsen_report: dict | None = field(default=None, metadata=_JSONL_ONLY)
     nonprivate_eval: bool = field(default=True, metadata=_JSONL_ONLY)
+    merge_iterations: int | None = field(default=None, metadata=_JSONL_ONLY)
+    merge_stop: str | None = field(default=None, metadata=_JSONL_ONLY)
 
     def csv_row(self) -> str:
         def fmt(x):
@@ -305,12 +307,11 @@ def run_pipeline(
         rng = make_rng(seed, "exp-mech")
         clustering = exponential_mechanism(graph, params, config.solver.objective, rng)
         released = graph  # no synthetic graph in this route
-        audit_lambda = None
+        audit = None
         report = None
     else:
         released, audit = release_stage(graph, params, config, seed)
         clustering, report = postprocess_stage(released, config, seed)
-        audit_lambda = audit.lambda_residual
     metrics = evaluate_stage(graph, clustering, released, truth)
     wall_ms = (time.perf_counter() - t0) * 1000.0  # includes evaluation
     record = ExperimentRecord(
@@ -321,9 +322,11 @@ def run_pipeline(
         epsilon=params.epsilon,
         delta=params.delta,
         seed=seed,
-        lambda_residual=audit_lambda,
+        lambda_residual=audit.lambda_residual if audit else None,
         wall_ms=wall_ms,
         coarsen_report=report.to_dict() if report is not None else None,
+        merge_iterations=audit.merge_iterations if audit else None,
+        merge_stop=audit.merge_stop if audit else None,
         **metrics,
     )
     return clustering, record

@@ -407,6 +407,8 @@ class ReleaseOutput:
     constraints_checked: int = 0
     seed: int | None = None
     private: bool = True
+    merge_iterations: int | None = None  # merge solver iterations run
+    merge_stop: str | None = None  # why it stopped: "patience", "budget" or "per-edge"
 
     def audit_dict(self) -> dict:
         """Every field, with ``lambda_residual`` under the key ``lambda``."""
@@ -491,6 +493,23 @@ class CutRows:
         cs = ((self.s @ matrix) * self.t).sum(axis=1)
         cs[self.meet] -= 0.5 * ((self.r @ matrix) * self.r).sum(axis=1)
         return cs
+
+    def shared_pairs(self, i: int) -> np.ndarray:
+        """Pairs each row's cut shares with row ``i``'s cut; ``sums(H_i)``.
+
+        ``H_i = s t' + t s' - r r' - diag(r)`` is the 0/1 pair mask of cut
+        i, so every term is a product of row dots with i's three masks:
+        three (3, n) by (n, rows) products instead of one with an n-by-n
+        matrix.  The counts are integers, so exact in float64.
+        """
+        s, t = self.s[i], self.t[i]
+        masks = np.stack([s, t, s * t])
+        a_s, a_t, a_r = masks @ self.s.T
+        b_s, b_t, b_r = masks @ self.t.T
+        count = a_s * b_t + a_t * b_s - a_r * b_r
+        q_s, q_t, q_r = masks @ self.r.T
+        count[self.meet] -= q_r + 0.5 * (2.0 * q_s * q_t - q_r**2 - q_r)
+        return count
 
 
 def cut_sums(matrix: np.ndarray, s_rows: np.ndarray, t_rows: np.ndarray) -> np.ndarray:

@@ -28,6 +28,14 @@ violation.  Steps project onto the violated constraint's halfspace
 iterate by training violation is kept.  The reported residual ``lambda``
 is audited on a freshly sampled constraint family, never the training
 one.
+
+The training cut sums are kept between iterations.  A cut step moves x
+by the same amount on every pair meeting the cut, so when the clamp
+moves no pair each cut sum changes by that amount times the pairs its
+cut shares with the stepped one (:meth:`CutRows.shared_pairs`, three
+thin products instead of one with an n-by-n matrix).  The sums are
+recomputed in full after a step the clamp cut short, after a pair step,
+and every ``_RESYNC`` iterations, which bounds float drift.
 """
 
 from __future__ import annotations
@@ -55,6 +63,7 @@ __all__ = [
 ]
 
 _PATIENCE = 300  # merge solver stops after this many non-improving iterations
+_RESYNC = 50  # cut sums are recomputed exactly at least this often
 
 
 @dataclass(frozen=True)
@@ -66,6 +75,7 @@ class MergeSolution:
     strategy: str
     constraints_checked: int = 0
     iterations_run: int = 0
+    stop: str = "per-edge"  # why training ended: "patience", "budget" or "per-edge"
 
 
 @dataclass(frozen=True)
@@ -183,51 +193,54 @@ def solve_merge_lp(
     wm_mat = wminus.matrix()
     iu, iv = np.triu_indices(n, 1)
 
-    x_mat = np.clip((wp_mat + 1.0 - wm_mat) / 2.0, 0.0, 1.0)
-    np.fill_diagonal(x_mat, 0.0)
+    x = np.clip((wp + 1.0 - wm) / 2.0, 0.0, 1.0)
     iterations_run = 0
+    stop = "per-edge"
 
     if strategy == "sampled-lp":
         rows = CutRows(*_sample_set_pairs(n, constraint_budget, rng))
         tp, tm = rows.sums(wp_mat), rows.sums(wm_mat)
+        cs = rows.sums(WeightedChannel(n, x).matrix())
         best_lam = np.inf
-        best_x = x_mat.copy()
+        best_x = x.copy()
         stale = 0
+        stop = "budget"
         for t in range(1, iterations + 1):
-            lam, kind, idx, signed = _max_violation(
-                x_mat[iu, iv], wp, wm, rows.sums(x_mat), rows.sizes, tp, tm
-            )
+            lam, kind, idx, signed = _max_violation(x, wp, wm, cs, rows.sizes, tp, tm)
             if not np.isfinite(best_lam) or lam < best_lam - 1e-6 * max(best_lam, 1.0):
                 best_lam = lam
-                best_x = x_mat.copy()
+                best_x = x.copy()
                 stale = 0
             else:
                 stale += 1
                 if stale >= _PATIENCE:
+                    stop = "patience"
                     break
             iterations_run = t
             step = t ** -0.5  # relaxation on the exact halfspace projection
             if kind.startswith("pair"):
-                u, v = int(iu[idx]), int(iv[idx])
                 delta = signed if kind == "pair+" else -signed
-                x_mat[u, v] -= step * delta
-                x_mat[v, u] = x_mat[u, v]
+                x[idx] = np.clip(x[idx] - step * delta, 0.0, 1.0)
+                full = True
             else:
                 # the gradient is 1 on pairs meeting the cut and 0 elsewhere
-                hit = np.outer(rows.s[idx], rows.t[idx]) > 0
-                hit |= hit.T
-                np.fill_diagonal(hit, False)
-                norm_sq = max(rows.sizes[idx], 1.0)
+                s, tt = rows.s[idx] > 0, rows.t[idx] > 0
+                hit = (s[iu] & tt[iv]) | (s[iv] & tt[iu])
                 delta = signed if kind == "cut+" else -signed
-                x_mat[hit] -= step * delta / norm_sq
-            np.clip(x_mat, 0.0, 1.0, out=x_mat)
-            np.fill_diagonal(x_mat, 0.0)
-        x_mat = best_x
+                shift = step * delta / max(rows.sizes[idx], 1.0)
+                moved = x[hit] - shift
+                kept = np.clip(moved, 0.0, 1.0)
+                x[hit] = kept
+                full = not np.array_equal(kept, moved)  # the clamp moved a pair
+                if not full:
+                    cs -= shift * rows.shared_pairs(idx)
+            if full or t % _RESYNC == 0:
+                cs = rows.sums(WeightedChannel(n, x).matrix())
+        x = best_x
 
     # honest audit: fresh constraints, never the training family
     audit = CutRows(*_sample_set_pairs(n, constraint_budget, rng))
-    x = x_mat[iu, iv]
-    cs, tp, tm = (audit.sums(m) for m in (x_mat, wp_mat, wm_mat))
+    cs, tp, tm = (audit.sums(m) for m in (WeightedChannel(n, x).matrix(), wp_mat, wm_mat))
     lam_audit, _, _, _ = _max_violation(x, wp, wm, cs, audit.sizes, tp, tm)
     return MergeSolution(
         x=x,
@@ -235,6 +248,7 @@ def solve_merge_lp(
         strategy=strategy,
         constraints_checked=2 * iu.size + 2 * audit.sizes.size,
         iterations_run=iterations_run,
+        stop=stop,
     )
 
 
@@ -302,5 +316,7 @@ def release_unweighted(
         constraints_checked=solution.constraints_checked,
         seed=seed,
         private=not zero_noise,
+        merge_iterations=solution.iterations_run,
+        merge_stop=solution.stop,
     )
     return released, audit

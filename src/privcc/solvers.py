@@ -56,6 +56,11 @@ EXACT_LIMIT = 12
 # local search stops after this many sweeps of n moves
 _MAX_PASSES = 50
 
+# dense net matrices of the graphs solve() is working on, by graph id, so
+# the pivot and local-search passes of all its restarts share one scatter;
+# solve() drops its entry when it returns
+_SOLVING: dict[int, np.ndarray] = {}
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -135,6 +140,11 @@ def solve_exact(graph: SignedGraph, cfg: SolverConfig | None = None) -> Clusteri
     return Clustering(parts[int(np.argmin(err))])
 
 
+def _net_matrix(graph: SignedGraph) -> np.ndarray:
+    net = _SOLVING.get(id(graph))
+    return graph.net_matrix() if net is None else net
+
+
 # ---------------------------------------------------------------------------
 # Pivot greedy
 
@@ -149,7 +159,7 @@ def pivot_kwikcluster(graph: SignedGraph, rng: np.random.Generator) -> Clusterin
     with parallel edges feed in directly.
     """
     n = graph.n
-    positive = graph.net_matrix() > 0
+    positive = _net_matrix(graph) > 0
     labels = np.full(n, -1, dtype=np.int64)
     next_label = 0
     for p in rng.permutation(n):
@@ -191,7 +201,7 @@ def local_search(
     if start.k > kmax:
         raise ContractViolation(f"start has {start.k} clusters, limit is {kmax}")
     # margin[v, c] = cost of v sitting in cluster c, up to a per-vertex constant
-    comargin = -graph.net_matrix()
+    comargin = -_net_matrix(graph)
 
     rows = np.arange(n)
     labels = start.assignment.astype(np.int64).copy()
@@ -276,16 +286,20 @@ def solve(graph: SignedGraph, cfg: SolverConfig | None = None) -> Clustering:
         return solve_exact(graph, cfg)
     best: Clustering | None = None
     best_err = np.inf
-    for restart in range(cfg.restarts):
-        rng = make_rng(cfg.seed, "pivot-restart", restart)
-        cand = pivot_kwikcluster(graph, rng)
-        if cfg.max_clusters is not None:
-            cand = cap_clusters(cand, cfg.max_clusters)
-        cand = local_search(graph, cand, cfg)
-        err = disagreement(cand, graph)
-        if err < best_err - 1e-12 or (
-            abs(err - best_err) <= 1e-12 and best is not None and cand.key() < best.key()
-        ):
-            best, best_err = cand, err
+    _SOLVING[id(graph)] = graph.net_matrix()
+    try:
+        for restart in range(cfg.restarts):
+            rng = make_rng(cfg.seed, "pivot-restart", restart)
+            cand = pivot_kwikcluster(graph, rng)
+            if cfg.max_clusters is not None:
+                cand = cap_clusters(cand, cfg.max_clusters)
+            cand = local_search(graph, cand, cfg)
+            err = disagreement(cand, graph)
+            if err < best_err - 1e-12 or (
+                abs(err - best_err) <= 1e-12 and best is not None and cand.key() < best.key()
+            ):
+                best, best_err = cand, err
+    finally:
+        _SOLVING.pop(id(graph), None)
     assert best is not None
     return best

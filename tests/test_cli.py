@@ -60,6 +60,18 @@ def test_weighted_release_and_audit_cuts(tmp_path):
     assert report["cut_distance_minus"] >= 0
 
 
+def test_audit_cuts_compares_net_canonical_channels(tmp_path):
+    # pair (0, 1) carries +2 and -1.5; the release keeps only net +0.5
+    g_path = tmp_path / "par.txt"
+    g_path.write_text("3 3\n0 1 + 2\n0 1 - 1.5\n1 2 - 1\n")
+    out = tmp_path / "cuts.json"
+    assert run(["audit-cuts", "--input", g_path, "--engine", "zero-noise-test",
+                "--samples", "16", "--seed", "1", "--output", out]) == 0
+    report = json.loads(out.read_text())
+    assert report["cut_distance_plus"] == 0.0
+    assert report["cut_distance_minus"] == 0.0
+
+
 def test_pipeline_formats(tmp_path, capsys):
     assert run(["pipeline", "--kind", "planted", "--n", "10", "--k", "2",
                 "--p", "0.1", "--seed", "6", "--zero-noise", "--format", "csv"]) == 0

@@ -276,5 +276,9 @@ class TestMatrix:
         row = json.loads(jsonl.read_text().splitlines()[0])
         assert row["nonprivate_eval"] is True
         assert "wall_ms" in row and "wall_ms" not in CSV_HEADER
-        jsonl_only = {"wall_ms", "coarsen_report", "nonprivate_eval"}
+        jsonl_only = {
+            "wall_ms", "coarsen_report", "nonprivate_eval", "merge_iterations", "merge_stop",
+        }
         assert set(row) == set(CSV_HEADER.split(",")) | jsonl_only
+        assert 1 <= row["merge_iterations"] <= 60
+        assert row["merge_stop"] in ("patience", "budget")

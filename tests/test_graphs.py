@@ -146,6 +146,35 @@ class TestCuts:
                 assert got.shape == (len(want),)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
+    def test_shared_pairs_equal_cut_sums_of_pair_mask(self):
+        # rows of every kind: overlapping S != T, S == T, disjoint and
+        # complement; the count is exact, so equality is exact too
+        rng = make_rng(110)
+        for trial in range(30):
+            n = int(rng.integers(2, 26))
+            s_rows, t_rows = [], []
+            for _ in range(3):
+                s_rows.append(rng.random(n) < 0.5)
+                t_rows.append(rng.random(n) < 0.5)
+                same = rng.random(n) < 0.5
+                s_rows.append(same)
+                t_rows.append(same.copy())
+                z = rng.integers(0, 3, size=n)
+                s_rows.append(z == 1)
+                t_rows.append(z == 2)
+                s_rows.append(rng.random(n) < 0.5)
+                t_rows.append(~s_rows[-1])
+            s_rows, t_rows = np.array(s_rows), np.array(t_rows)
+            rows = CutRows(s_rows, t_rows)
+            pu, pv = np.triu_indices(n, 1)
+            for i in range(len(s_rows)):
+                s, t = s_rows[i], t_rows[i]
+                hit = (s[pu] & t[pv]) | (s[pv] & t[pu])
+                mask = WeightedChannel(n, hit.astype(np.float64)).matrix()
+                got = rows.shared_pairs(i)
+                assert got.tolist() == rows.sums(mask).tolist()
+                assert got[i] == rows.sizes[i]
+
 
 class TestNeighborDistance:
     def test_single_flip_is_two(self):

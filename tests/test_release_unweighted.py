@@ -1,3 +1,4 @@
+import importlib
 import inspect
 import math
 
@@ -17,6 +18,7 @@ from privcc._rng import make_rng
 from privcc.graphs import CutRows
 from privcc.release_unweighted import (
     _PATIENCE,
+    _RESYNC,
     MergeConfig,
     _max_violation,
     _sample_set_pairs,
@@ -28,6 +30,9 @@ from privcc.release_unweighted import (
 
 import dp_harness
 from helpers import random_graph
+
+# the package's ``release_unweighted`` attribute is the function
+release_unweighted_module = importlib.import_module("privcc.release_unweighted")
 
 
 def indicator_channels(graph):
@@ -153,8 +158,71 @@ class TestMerge:
                 want_x, want_run = dense_gradient_merge(
                     noisy_p, noisy_m, budget or 4 * n, make_rng(n), 120
                 )
-                assert sol.x.tobytes() == want_x.tobytes()
+                np.testing.assert_allclose(sol.x, want_x, rtol=0, atol=1e-12)
                 assert sol.iterations_run == want_run
+
+    @staticmethod
+    def spied_merge(monkeypatch, noisy_p, noisy_m, budget, seed, iterations):
+        """``solve_merge_lp`` and the reference, with the solver's paths counted.
+
+        Returns the kinds of the steps taken and the number of incremental
+        cut-sum updates, after checking the result against
+        ``dense_gradient_merge``.
+        """
+        kinds, updates = [], []
+        pick, shared = release_unweighted_module._max_violation, CutRows.shared_pairs
+
+        def spy_pick(*args):
+            out = pick(*args)
+            kinds.append(out[1])
+            return out
+
+        def spy_shared(self, i):
+            updates.append(i)
+            return shared(self, i)
+
+        monkeypatch.setattr(release_unweighted_module, "_max_violation", spy_pick)
+        monkeypatch.setattr(CutRows, "shared_pairs", spy_shared)
+        sol = solve_merge_lp(noisy_p, noisy_m, budget, make_rng(seed), iterations=iterations)
+        monkeypatch.undo()
+        want_x, want_run = dense_gradient_merge(
+            noisy_p, noisy_m, budget or 4 * noisy_p.n, make_rng(seed), iterations
+        )
+        np.testing.assert_allclose(sol.x, want_x, rtol=0, atol=1e-12)
+        assert sol.iterations_run == want_run
+        return kinds[: sol.iterations_run], len(updates), sol
+
+    @staticmethod
+    def noisy_channels(seed, n):
+        rng = make_rng(seed)
+        wp, wm = indicator_channels(random_graph(rng, n, complete=True))
+        return laplace_release(wp, 2.0, rng), laplace_release(wm, 2.0, rng)
+
+    def test_clipped_cut_steps_match_reference(self, monkeypatch):
+        # noisy per-edge starts sit on the box bounds, so cut steps clip
+        steps, updates, _ = self.spied_merge(
+            monkeypatch, *self.noisy_channels(62, 30), None, 30, 120
+        )
+        cut_steps = sum(k.startswith("cut") for k in steps)
+        assert 0 < updates < cut_steps  # both the incremental and full path ran
+
+    def test_pair_steps_match_reference(self, monkeypatch):
+        pair_steps = 0
+        for n in (3, 4, 5):
+            for budget in (1, 2, 3):
+                steps, _, _ = self.spied_merge(
+                    monkeypatch, *self.noisy_channels(63 + n, n), budget, n, 80
+                )
+                pair_steps += sum(k.startswith("pair") for k in steps)
+        assert pair_steps > 0
+
+    def test_long_run_matches_reference(self, monkeypatch):
+        # incremental updates run across several periodic exact recomputations
+        _, updates, sol = self.spied_merge(
+            monkeypatch, *self.noisy_channels(64, 30), None, 30, 400
+        )
+        assert sol.iterations_run > 3 * _RESYNC
+        assert updates > _RESYNC
 
     def test_per_edge_singleton_solution(self):
         # one pair, W+ = 0.7, W- = 0.3: the midpoint rule gives x = 0.7
@@ -186,6 +254,16 @@ class TestMerge:
         sol = solve_merge_lp(wp, wm, None, rng)
         assert np.array_equal(sol.x, wp.values)
         assert sol.lam == pytest.approx(0.0, abs=1e-9)
+
+    def test_stop_reasons(self):
+        rng = make_rng(58)
+        wp, wm = indicator_channels(random_graph(rng, 12, complete=True))
+        exact = solve_merge_lp(wp, wm, None, rng)  # the start is never improved on
+        assert (exact.stop, exact.iterations_run) == ("patience", _PATIENCE)
+        short = solve_merge_lp(wp, wm, None, rng, iterations=5)
+        assert (short.stop, short.iterations_run) == ("budget", 5)
+        per_edge = solve_merge_lp(wp, wm, None, rng, strategy="per-edge")
+        assert (per_edge.stop, per_edge.iterations_run) == ("per-edge", 0)
 
     def test_x_in_box(self):
         rng = make_rng(59)
@@ -291,6 +369,7 @@ class TestReleaseUnweighted:
         assert set(audit.audit_dict()) == {
             "mechanism", "epsilon", "delta", "noise_scale", "channel_budgets",
             "lambda", "merge_strategy", "constraints_checked", "seed", "private",
+            "merge_iterations", "merge_stop",
         }
 
     def test_preconditions(self):

@@ -260,6 +260,22 @@ class TestSolve:
             assert a == b
             assert disagreement(a, g) + agreement(a, g) == g.total_weight
 
+    def test_net_matrix_scattered_once_per_solve(self, monkeypatch):
+        import privcc.graphs as graphs
+        import privcc.solvers as solvers
+
+        calls = []
+        scatter = graphs._symmetric
+        monkeypatch.setattr(
+            graphs, "_symmetric", lambda *a: calls.append(1) or scatter(*a)
+        )
+        g = random_graph(make_rng(17), 30, weighted=True, parallel=True)
+        solve(g, SolverConfig(restarts=4))
+        assert len(calls) == 1
+        assert not solvers._SOLVING  # the shared matrix is dropped on return
+        pivot_kwikcluster(g, make_rng(1))  # on its own, each call scatters
+        assert len(calls) == 2
+
     def test_deterministic(self):
         rng = make_rng(15)
         g = random_graph(rng, 20, complete=True)
