@@ -25,8 +25,6 @@ from .graphs import (
 )
 from .io import read_edge_list, write_edge_list
 from .solvers import (
-    MAX_AGREEMENT,
-    MIN_DISAGREEMENT,
     SolverConfig,
     local_search,
     pivot_kwikcluster,
@@ -48,7 +46,6 @@ from .release_weighted import (
     LaplaceCutReleaser,
     ZeroNoiseCutReleaser,
     get_cut_releaser,
-    register_cut_releaser,
     release_weighted,
     sampled_cut_distance,
 )

@@ -25,7 +25,7 @@ from .graphs import (
 )
 from .io import format_edge_list, read_edge_list, write_edge_list
 from .release_unweighted import MergeConfig
-from .release_weighted import release_weighted, sampled_cut_distance
+from .release_weighted import net_channels, release_weighted, sampled_cut_distance
 from .expmech import exact_output_distribution, exponential_mechanism
 from .experiments import (
     CSV_HEADER,
@@ -38,8 +38,6 @@ from .experiments import (
 )
 from .packing import PACKING_CSV_HEADER, brute_force_code, packing_experiment
 from .solvers import (
-    MAX_AGREEMENT,
-    MIN_DISAGREEMENT,
     SolverConfig,
     cap_clusters,
     local_search,
@@ -47,6 +45,9 @@ from .solvers import (
     solve,
     solve_exact,
 )
+
+
+_ENGINE_HELP = "laplace, or zero-noise-test (UNSAFE: adds no noise, not private; tests only)"
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -122,12 +123,7 @@ def _cmd_release(args) -> int:
 
 def _cmd_cluster(args) -> int:
     graph = read_edge_list(args.input)
-    cfg = SolverConfig(
-        objective=MAX_AGREEMENT if args.objective == "max-agreement" else MIN_DISAGREEMENT,
-        max_clusters=args.k,
-        seed=args.seed,
-        restarts=args.restarts,
-    )
+    cfg = SolverConfig(max_clusters=args.k, seed=args.seed, restarts=args.restarts)
     if args.solver == "exact":
         clustering = solve_exact(graph, cfg)
     elif args.solver in ("pivot", "local-search"):
@@ -162,7 +158,6 @@ def _cmd_pipeline(args) -> int:
         solver=SolverConfig(restarts=args.restarts),
         engine=args.engine,
         coarsen_enabled=not args.no_coarsen,
-        zero_noise=args.zero_noise,
     )
     params = PrivacyParams(args.epsilon, args.delta)
     _, record = run_pipeline(graph, params, config, args.seed, truth=truth,
@@ -216,8 +211,7 @@ def _cmd_lowerbound(args) -> int:
     params = PrivacyParams(args.epsilon)
 
     if args.mechanism == "exponential":
-        def mech(graph, p, r):
-            return exponential_mechanism(graph, p, MIN_DISAGREEMENT, r)
+        mech = exponential_mechanism
     else:  # non-private reference point
         def mech(graph, p, r):
             return solve(graph, SolverConfig())
@@ -238,11 +232,9 @@ def _cmd_audit_cuts(args) -> int:
     rng = make_rng(args.seed, "audit-cuts")
     released, audit = release_weighted(graph, params, args.engine, rng,
                                        seed=args.seed)
-    # the mechanism releases the net-canonical channels max(+-net, 0)
-    net = graph.channel_flat(1) - graph.channel_flat(-1)
     report = {}
-    for sign, name in ((1, "plus"), (-1, "minus")):
-        a = WeightedChannel(graph.n, np.maximum(sign * net, 0.0))
+    for sign, name, channel in zip((1, -1), ("plus", "minus"), net_channels(graph)):
+        a = WeightedChannel(graph.n, channel)
         b = WeightedChannel(graph.n, released.channel_flat(sign))
         report[f"cut_distance_{name}"] = sampled_cut_distance(
             a, b, args.samples, make_rng(args.seed, "audit-cuts", name)
@@ -272,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--mechanism", default=PipelineConfig.mechanism,
                    choices=["unweighted-laplace", "weighted-laplace"])
-    p.add_argument("--engine", default=PipelineConfig.engine)
+    p.add_argument("--engine", default=PipelineConfig.engine, help=_ENGINE_HELP)
     p.add_argument("--merge-strategy", default=MergeConfig.strategy,
                    choices=["sampled-lp", "per-edge"])
     p.add_argument("--constraint-budget", type=int,
@@ -286,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--solver", default="auto",
                    choices=["auto", "exact", "pivot", "local-search"])
-    p.add_argument("--objective", default="min-disagreement",
-                   choices=["min-disagreement", "max-agreement"])
     p.add_argument("--k", type=int, default=None, help="max cluster count")
     p.add_argument("--restarts", type=int, default=SolverConfig.restarts)
     p.set_defaults(func=_cmd_cluster)
@@ -300,11 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", type=str, default=None)
     p.add_argument("--mechanism", default=PipelineConfig.mechanism,
                    choices=["unweighted-laplace", "weighted-laplace", "exponential"])
-    p.add_argument("--engine", default=PipelineConfig.engine)
+    p.add_argument("--engine", default=PipelineConfig.engine, help=_ENGINE_HELP)
     p.add_argument("--restarts", type=int, default=SolverConfig.restarts)
     p.add_argument("--no-coarsen", action="store_true")
-    p.add_argument("--zero-noise", action="store_true",
-                   help="UNSAFE: disables privacy, for plumbing tests")
     p.add_argument("--format", default="csv", choices=["csv", "jsonl"])
     p.set_defaults(func=_cmd_pipeline)
 
@@ -342,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--input", required=True)
-    p.add_argument("--engine", default="laplace")
+    p.add_argument("--engine", default="laplace", help=_ENGINE_HELP)
     p.add_argument("--samples", type=int, default=256)
     p.set_defaults(func=_cmd_audit_cuts)
 

@@ -159,14 +159,22 @@ class PipelineConfig:
     mechanism: str = "unweighted-laplace"  # | weighted-laplace | exponential
     solver: SolverConfig = field(default_factory=SolverConfig)
     merge: MergeConfig = field(default_factory=MergeConfig)
-    engine: str = "laplace"
+    engine: str = "laplace"  # | zero-noise-test: non-private, pipeline tests only
     coarsen_enabled: bool = True
     coarsen_k: int | None = None  # None -> ceil(n^(1/4))
-    zero_noise: bool = False  # non-private passthrough, pipeline tests only
 
     def __post_init__(self):
         if self.mechanism not in ("unweighted-laplace", "weighted-laplace", "exponential"):
             raise ContractViolation(f"unknown mechanism {self.mechanism!r}")
+        if self.engine not in ("laplace", "zero-noise-test"):
+            raise ContractViolation(f"unknown release engine {self.engine!r}")
+        if self.mechanism == "exponential" and self.zero_noise:
+            raise ContractViolation("the exponential mechanism has no zero-noise engine")
+
+    @property
+    def zero_noise(self) -> bool:
+        """True when the release adds no noise, so the output is not private."""
+        return self.engine == "zero-noise-test"
 
     def mechanism_id(self) -> str:
         return self.mechanism + ("+zero-noise" if self.zero_noise else "")
@@ -174,7 +182,7 @@ class PipelineConfig:
     def solver_id(self) -> str:
         cfg = self.solver
         k = f",k<={cfg.max_clusters}" if cfg.max_clusters else ""
-        return f"{cfg.objective}(restarts={cfg.restarts}{k})"
+        return f"min-disagreement(restarts={cfg.restarts}{k})"
 
 
 _JSONL_ONLY = {"jsonl_only": True}
@@ -233,8 +241,7 @@ def release_stage(
             graph, params, config.merge, rng, seed=seed, zero_noise=config.zero_noise
         )
     if config.mechanism == "weighted-laplace":
-        engine = "zero-noise-test" if config.zero_noise else config.engine
-        return release_weighted(graph, params, engine, rng, seed=seed)
+        return release_weighted(graph, params, config.engine, rng, seed=seed)
     raise ContractViolation(f"mechanism {config.mechanism!r} has no release stage")
 
 
@@ -305,7 +312,7 @@ def run_pipeline(
     t0 = time.perf_counter()
     if config.mechanism == "exponential":
         rng = make_rng(seed, "exp-mech")
-        clustering = exponential_mechanism(graph, params, config.solver.objective, rng)
+        clustering = exponential_mechanism(graph, params, rng)
         released = graph  # no synthetic graph in this route
         audit = None
         report = None
@@ -351,6 +358,14 @@ def _pipeline_from_dict(d: dict) -> PipelineConfig:
     return _from_dict(PipelineConfig, keys, "pipeline")
 
 
+def _drop_torn_line(path: str) -> None:
+    """Cut off a last line without its newline: a row whose write was interrupted."""
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        if data and not data.endswith(b"\n"):
+            fh.truncate(data.rfind(b"\n") + 1)
+
+
 def run_matrix(
     matrix: dict,
     csv_path: str,
@@ -362,8 +377,10 @@ def run_matrix(
     Cells are enumerated in deterministic order and written as they
     finish through a single writer.  With ``resume``, cells whose ids
     already appear in the CSV are skipped, so an interrupted run picks up
-    where it left off and converges to the same file.  Failures are
-    reported per cell on stderr and do not stop the matrix.
+    where it left off and converges to the same file; a last row cut off
+    mid-write (no trailing newline) is dropped from the CSV and JSONL and
+    its cell runs again.  Failures are reported per cell on stderr and do
+    not stop the matrix.
     """
     master_seed = int(matrix.get("master_seed", 0))
     specs = [_from_dict(InstanceSpec, s, "instance") for s in matrix["instances"]]
@@ -374,6 +391,9 @@ def run_matrix(
 
     done: set[int] = set()
     if resume and os.path.exists(csv_path):
+        for path in (csv_path, jsonl_path):
+            if path and os.path.exists(path):
+                _drop_torn_line(path)
         with open(csv_path, "r", encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
@@ -384,7 +404,7 @@ def run_matrix(
     with open(csv_path, mode, encoding="utf-8") as csv_fh:
         jsonl_fh = open(jsonl_path, mode, encoding="utf-8") if jsonl_path else None
         try:
-            if mode == "w":
+            if csv_fh.tell() == 0:
                 csv_fh.write(CSV_HEADER + "\n")
             cells = itertools.product(specs, epsilons, pipelines, replicates)
             for cell_index, (spec, eps, pipe, rep) in enumerate(cells):

@@ -6,9 +6,10 @@ output distribution (n <= 10), which lets the privacy guarantee be
 machine-checked literally, neighbor by neighbor.
 
 A partition C is drawn with probability proportional to
-``exp(eps * score(C) / 2)`` where the score is minus the disagreement
-(or plus the agreement), both of which move by at most 1 when a single
-unweighted edge flips sign.  All weight arithmetic happens in log space,
+``exp(eps * score(C) / 2)`` where the score is minus the disagreement,
+which moves by at most 1 when a single unweighted edge flips sign.
+Scoring by agreement instead would add the constant total weight and
+give the same distribution.  All weight arithmetic happens in log space,
 so large ``eps * score`` products do not overflow.
 """
 
@@ -23,12 +24,7 @@ from .graphs import (
     SignedGraph,
     SizeRefusal,
 )
-from .solvers import (
-    MAX_AGREEMENT,
-    MIN_DISAGREEMENT,
-    enumerate_partitions,
-    partition_disagreements,
-)
+from .solvers import enumerate_partitions, partition_disagreements
 
 __all__ = ["SAMPLE_LIMIT", "EXACT_LIMIT", "exponential_mechanism", "exact_output_distribution"]
 
@@ -36,36 +32,27 @@ SAMPLE_LIMIT = 12
 EXACT_LIMIT = 10
 
 
-def _log_weights(graph: SignedGraph, params: PrivacyParams, objective: str):
+def _log_weights(graph: SignedGraph, params: PrivacyParams):
     if params.delta != 0:
         raise ContractViolation("exponential mechanism is pure DP; delta must be 0")
     parts = enumerate_partitions(graph.n)
-    err = partition_disagreements(parts, graph)
-    if objective == MAX_AGREEMENT:
-        score = graph.total_weight - err
-    elif objective == MIN_DISAGREEMENT:
-        score = -err
-    else:
-        raise ContractViolation(f"unknown objective {objective!r}")
+    score = -partition_disagreements(parts, graph)
     return parts, 0.5 * params.epsilon * score
 
 
 def exponential_mechanism(
-    graph: SignedGraph,
-    params: PrivacyParams,
-    objective: str,
-    rng: np.random.Generator,
+    graph: SignedGraph, params: PrivacyParams, rng: np.random.Generator
 ) -> Clustering:
     """Sample one clustering with probability ~ exp(eps * score / 2)."""
     if graph.n > SAMPLE_LIMIT:
         raise SizeRefusal(f"exponential mechanism enumerates partitions; n <= {SAMPLE_LIMIT}")
-    parts, logw = _log_weights(graph, params, objective)
+    parts, logw = _log_weights(graph, params)
     gumbel = rng.gumbel(size=logw.size)
     return Clustering(parts[int(np.argmax(logw + gumbel))])
 
 
 def exact_output_distribution(
-    graph: SignedGraph, params: PrivacyParams, objective: str = MIN_DISAGREEMENT
+    graph: SignedGraph, params: PrivacyParams
 ) -> dict[tuple[int, ...], float]:
     """Full output distribution as {canonical partition tuple: probability}.
 
@@ -73,7 +60,7 @@ def exact_output_distribution(
     """
     if graph.n > EXACT_LIMIT:
         raise SizeRefusal(f"exact distribution enumerates partitions; n <= {EXACT_LIMIT}")
-    parts, logw = _log_weights(graph, params, objective)
+    parts, logw = _log_weights(graph, params)
     logz = _logsumexp(logw)
     probs = np.exp(logw - logz)
     return {tuple(int(x) for x in row): float(p) for row, p in zip(parts, probs)}

@@ -30,7 +30,7 @@ def parse_edge_list(text: str) -> SignedGraph:
     head = lines[0].split()
     if len(head) != 2:
         raise ContractViolation(f"header must be 'n m', got {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
+    n, m = (_number(tok, int, lines[0]) for tok in head)
     body = lines[1:]
     declared_complete = bool(body) and body[0].lower() == "complete"
     if declared_complete:
@@ -42,10 +42,11 @@ def parse_edge_list(text: str) -> SignedGraph:
         parts = ln.split()
         if len(parts) not in (3, 4):
             raise ContractViolation(f"bad edge line {ln!r}")
-        u, v, sign_tok = int(parts[0]), int(parts[1]), parts[2]
+        u, v = (_number(tok, int, ln) for tok in parts[:2])
+        sign_tok = parts[2]
         if sign_tok not in ("+", "-"):
             raise ContractViolation(f"sign must be '+' or '-', got {sign_tok!r}")
-        w = float(parts[3]) if len(parts) == 4 else 1.0
+        w = _number(parts[3], float, ln) if len(parts) == 4 else 1.0
         edges.append((u, v, 1 if sign_tok == "+" else -1, w))
     pair_count = len({(min(u, v), max(u, v)) for u, v, _, _ in edges})
     parallel = pair_count < len(edges)
@@ -53,6 +54,13 @@ def parse_edge_list(text: str) -> SignedGraph:
     if declared_complete and not complete:
         raise ContractViolation("'complete' declared but some pairs are missing")
     return SignedGraph.from_edges(n, edges, complete=complete, parallel_ok=parallel)
+
+
+def _number(tok: str, kind: type, line: str):
+    try:
+        return kind(tok)
+    except ValueError:
+        raise ContractViolation(f"bad number {tok!r} in line {line!r}") from None
 
 
 def read_edge_list(path: str | os.PathLike) -> SignedGraph:

@@ -14,9 +14,9 @@ releaser assumes (the raw channels move arbitrarily at net distance 0).
 For any clustering into k clusters the disagreement (and agreement)
 between the graph of those two channels and the output differ by at most
 ``k * (cut_distance(minus channels) + cut_distance(plus channels))``,
-so a releaser's advertised cut error translates directly into an
-objective error bound; the input itself differs from that graph by
-``sum(min(pos, neg))`` on every clustering alike.
+so a releaser's cut error translates directly into an objective error
+bound; the input itself differs from that graph by ``sum(min(pos, neg))``
+on every clustering alike.
 
 The default engine adds per-pair Laplace noise, then zeroes weights
 below a threshold of ``scale * ln(n)`` (post-processing, so privacy is
@@ -25,7 +25,7 @@ every cut by order n^2; with it, sparse instances keep cut errors near
 linear in n.  Unbiasedness holds for the raw noisy weights only, before
 thresholding.  A stronger releaser with cut error ~ sqrt(m n / eps) is
 known to exist; the :class:`CutReleaser` interface is the slot for
-plugging one in (register it under ``external:<name>``).
+plugging one in: pass an instance as the ``engine``.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ __all__ = [
     "CutReleaser",
     "LaplaceCutReleaser",
     "ZeroNoiseCutReleaser",
-    "register_cut_releaser",
     "get_cut_releaser",
+    "net_channels",
     "release_weighted",
     "sampled_cut_distance",
 ]
@@ -67,10 +67,6 @@ class CutReleaser(abc.ABC):
         self, channel: WeightedChannel, params: PrivacyParams, rng: np.random.Generator
     ) -> WeightedChannel:
         """Return a private channel with non-negative weights."""
-
-    @abc.abstractmethod
-    def advertised_error(self, n: int, m: float, params: PrivacyParams) -> float:
-        """A-priori cut-distance bound this engine claims (polylogs coarse)."""
 
     def noise_scale(self, params: PrivacyParams) -> float:
         """Per-pair noise scale at this budget, reported in the audit; 0 if none."""
@@ -114,10 +110,6 @@ class LaplaceCutReleaser(CutReleaser):
         tau = scale * math.log(max(channel.n, 2))
         return WeightedChannel(channel.n, np.where(raw.values >= tau, raw.values, 0.0))
 
-    def advertised_error(self, n, m, params):
-        scale = self.noise_scale(params)
-        return scale * n**1.5 * math.sqrt(math.log(max(n, 2)))
-
 
 class ZeroNoiseCutReleaser(CutReleaser):
     """Identity passthrough; no privacy.  Pipeline tests only."""
@@ -128,34 +120,22 @@ class ZeroNoiseCutReleaser(CutReleaser):
     def release(self, channel, params, rng):
         return WeightedChannel(channel.n, channel.values)
 
-    def advertised_error(self, n, m, params):
-        return 0.0
-
-
-_REGISTRY: dict[str, CutReleaser] = {}
-
-
-def register_cut_releaser(name: str, engine: CutReleaser) -> None:
-    _REGISTRY[name] = engine
-
 
 def get_cut_releaser(name: CutReleaser | str) -> CutReleaser:
-    """Look up an engine: ``laplace``, ``zero-noise-test`` or ``external:<name>``.
-
-    An engine instance is returned as it is.
-    """
+    """The engine named ``laplace`` or ``zero-noise-test``; an instance as it is."""
     if isinstance(name, CutReleaser):
         return name
     if name == "laplace":
         return LaplaceCutReleaser()
     if name == "zero-noise-test":
         return ZeroNoiseCutReleaser()
-    if name.startswith("external:"):
-        key = name.split(":", 1)[1]
-        if key not in _REGISTRY:
-            raise ContractViolation(f"no registered cut releaser {key!r}")
-        return _REGISTRY[key]
     raise ContractViolation(f"unknown release engine {name!r}")
+
+
+def net_channels(graph: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The flat channels ``max(net, 0)`` and ``max(-net, 0)`` that are released."""
+    net = graph.channel_flat(1) - graph.channel_flat(-1)
+    return np.maximum(net, 0.0), np.maximum(-net, 0.0)
 
 
 def release_weighted(
@@ -167,16 +147,18 @@ def release_weighted(
 ) -> tuple[SignedGraph, ReleaseOutput]:
     """(eps, delta)-DP release of a weighted signed graph.
 
-    Each net-canonical channel goes through ``engine`` at half the budget;
-    the outputs recombine with their signs, possibly giving parallel pairs.
+    Each net-canonical channel goes through ``engine`` (a name that
+    :func:`get_cut_releaser` knows, or a :class:`CutReleaser` instance) at
+    half the budget; the outputs recombine with their signs, possibly
+    giving parallel pairs.
     """
     engine = get_cut_releaser(engine)
     engine.validate_params(params)
     half = params.split(2)
     n = graph.n
-    net = graph.channel_flat(1) - graph.channel_flat(-1)
-    out_plus = engine.release(WeightedChannel(n, np.maximum(net, 0.0)), half, rng)
-    out_minus = engine.release(WeightedChannel(n, np.maximum(-net, 0.0)), half, rng)
+    plus, minus = net_channels(graph)
+    out_plus = engine.release(WeightedChannel(n, plus), half, rng)
+    out_minus = engine.release(WeightedChannel(n, minus), half, rng)
     if (out_plus.values < 0).any() or (out_minus.values < 0).any():
         raise ContractViolation(f"engine {engine.name} emitted negative weights")
     released = SignedGraph.from_channel_arrays(

@@ -7,10 +7,8 @@ graphs), best-single-move hill climbing (:func:`local_search`), and a
 dispatcher (:func:`solve`) that picks the oracle when feasible and
 pivot-plus-refinement otherwise.
 
-Minimizing disagreement and maximizing agreement select the same
-partitions (the two objectives sum to the total edge weight), so all
-searches internally minimize disagreement; the objective choice matters
-only for reported values.
+Every search minimizes disagreement only: agreement is the total edge
+weight minus disagreement, so maximizing it selects the same partitions.
 
 Partitions are enumerated as restricted growth strings in lexicographic
 order; the first optimum in that order is returned, which makes
@@ -34,8 +32,6 @@ from .graphs import (
 )
 
 __all__ = [
-    "MIN_DISAGREEMENT",
-    "MAX_AGREEMENT",
     "EXACT_LIMIT",
     "SolverConfig",
     "enumerate_partitions",
@@ -46,9 +42,6 @@ __all__ = [
     "cap_clusters",
     "solve",
 ]
-
-MIN_DISAGREEMENT = "min-disagreement"
-MAX_AGREEMENT = "max-agreement"
 
 # Bell(12) ~ 4.2e6 partitions is the largest enumeration we accept.
 EXACT_LIMIT = 12
@@ -64,14 +57,11 @@ _SOLVING: dict[int, np.ndarray] = {}
 
 @dataclass(frozen=True)
 class SolverConfig:
-    objective: str = MIN_DISAGREEMENT
     max_clusters: int | None = None
     seed: int = 0
     restarts: int = 8
 
     def __post_init__(self):
-        if self.objective not in (MIN_DISAGREEMENT, MAX_AGREEMENT):
-            raise ContractViolation(f"unknown objective {self.objective!r}")
         if self.max_clusters is not None and self.max_clusters < 1:
             raise ContractViolation("max_clusters must be >= 1")
         if self.restarts < 1:

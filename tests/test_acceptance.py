@@ -316,7 +316,7 @@ def test_criterion_09_vertex_split_transparency():
     t0 = time.perf_counter()
     rng = make_rng(9009)
     config = PipelineConfig(
-        mechanism="weighted-laplace", zero_noise=True, coarsen_enabled=False
+        mechanism="weighted-laplace", engine="zero-noise-test", coarsen_enabled=False
     )
     for trial in range(200):
         n = int(rng.integers(2, 9))

@@ -74,13 +74,41 @@ def test_audit_cuts_compares_net_canonical_channels(tmp_path):
 
 def test_pipeline_formats(tmp_path, capsys):
     assert run(["pipeline", "--kind", "planted", "--n", "10", "--k", "2",
-                "--p", "0.1", "--seed", "6", "--zero-noise", "--format", "csv"]) == 0
+                "--p", "0.1", "--seed", "6", "--engine", "zero-noise-test",
+                "--format", "csv"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0].startswith("cell,instance,")
     assert run(["pipeline", "--kind", "planted", "--n", "10", "--seed", "6",
-                "--zero-noise", "--format", "jsonl"]) == 0
+                "--engine", "zero-noise-test", "--format", "jsonl"]) == 0
     row = json.loads(capsys.readouterr().out)
     assert row["nonprivate_eval"] is True
+
+
+@pytest.mark.parametrize("mechanism, instance", [
+    ("weighted-laplace", ["--kind", "weighted-random", "--n", "10",
+                          "--weight-dist", "uniform", "--density", "0.5"]),
+    ("unweighted-laplace", ["--kind", "planted", "--n", "20"]),
+], ids=["weighted", "unweighted"])
+def test_pipeline_engine_switch_is_recorded(capsys, mechanism, instance):
+    # the zero-noise engine is the one noise switch, on both release mechanisms
+    assert run(["pipeline", *instance, "--seed", "1", "--mechanism", mechanism,
+                "--engine", "zero-noise-test", "--format", "jsonl"]) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert row["mechanism"] == f"{mechanism}+zero-noise"
+    assert row["eta_hat"] == 0.0
+
+
+def test_release_unweighted_zero_noise_engine(tmp_path):
+    g_path = tmp_path / "g.txt"
+    run(["generate", "--kind", "random-signs", "--n", "8", "--seed", "3",
+         "--output", g_path])
+    h_path, audit_path = tmp_path / "h.txt", tmp_path / "audit.json"
+    assert run(["release", "--input", g_path, "--engine", "zero-noise-test",
+                "--merge-iterations", "20", "--output", h_path,
+                "--audit", audit_path]) == 0
+    assert h_path.read_text() == g_path.read_text()
+    audit = json.loads(audit_path.read_text())
+    assert audit["private"] is False and audit["noise_scale"] == 0.0
 
 
 def test_pipeline_k_is_not_a_solver_cap(capsys):
@@ -124,7 +152,8 @@ def test_matrix_command(tmp_path):
     ("pipeline", "refine_after_coarsen", lambda cfg: cfg["pipelines"][0]),
     ("solver", "max_passes", lambda cfg: cfg["pipelines"][0].setdefault("solver", {})),
     ("merge", "budget", lambda cfg: cfg["pipelines"][0]["merge"]),
-], ids=["instance", "pipeline", "solver", "merge"])
+    ("pipeline", "zero_noise", lambda cfg: cfg["pipelines"][0]),
+], ids=["instance", "pipeline", "solver", "merge", "zero_noise"])
 def test_matrix_refuses_unknown_keys(tmp_path, capsys, where, key, target):
     cfg = {
         "instances": [{"kind": "planted", "n": 8, "clusters": 2, "seed": 1}],
@@ -175,6 +204,18 @@ def test_exit_codes(tmp_path):
     lines = [f"{u} {v} +" for u in range(n) for v in range(u + 1, n)]
     big.write_text(f"{n} {len(lines)}\n" + "\n".join(lines) + "\n")
     assert run(["cluster", "--input", big, "--solver", "exact"]) == 3
+
+
+@pytest.mark.parametrize("text, line", [
+    ("x 1\n0 1 +\n", "x 1"),
+    ("2 1\na 1 +\n", "a 1 +"),
+    ("2 1\n0 1 + heavy\n", "0 1 + heavy"),
+], ids=["header", "vertex", "weight"])
+def test_malformed_number_is_a_contract_violation(tmp_path, capsys, text, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert run(["cluster", "--input", bad]) == 2
+    assert f"in line {line!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("solver", ["pivot", "local-search"])

@@ -94,7 +94,7 @@ class TestPipeline:
         c, rec = run_pipeline(
             g,
             PrivacyParams(1.0),
-            PipelineConfig(zero_noise=True, coarsen_enabled=False),
+            PipelineConfig(engine="zero-noise-test", coarsen_enabled=False),
             seed=4,
             truth=truth,
         )
@@ -123,7 +123,7 @@ class TestPipeline:
         c, rec = run_pipeline(
             g,
             PrivacyParams(0.4, 0.1),
-            PipelineConfig(mechanism="weighted-laplace", zero_noise=True,
+            PipelineConfig(mechanism="weighted-laplace", engine="zero-noise-test",
                            coarsen_enabled=False),
             seed=8,
         )
@@ -140,6 +140,14 @@ class TestPipeline:
         )
         assert rec.mechanism == "exponential"
         assert rec.err + rec.agr == g.total_weight
+
+    def test_engine_is_the_noise_switch(self):
+        assert PipelineConfig(engine="zero-noise-test").zero_noise
+        assert not PipelineConfig().zero_noise
+        with pytest.raises(ContractViolation):
+            PipelineConfig(mechanism="exponential", engine="zero-noise-test")
+        with pytest.raises(ContractViolation):
+            PipelineConfig(engine="external:x")
 
     def test_coarsening_caps_cluster_count(self):
         g, truth = generate_instance(
@@ -253,6 +261,26 @@ class TestMatrix:
         run_matrix(self.MATRIX, str(full), None)
         lines = full.read_text().splitlines(keepends=True)
         partial.write_text("".join(lines[:5]))  # header + 4 cells
+        run_matrix(self.MATRIX, str(partial), None, resume=True)
+        assert partial.read_bytes() == full.read_bytes()
+
+    def test_resume_reruns_a_torn_row(self, tmp_path):
+        full, partial = tmp_path / "full.csv", tmp_path / "partial.csv"
+        full_jsonl, partial_jsonl = tmp_path / "full.jsonl", tmp_path / "partial.jsonl"
+        run_matrix(self.MATRIX, str(full), str(full_jsonl))
+        lines = full.read_text().splitlines(keepends=True)
+        rows = full_jsonl.read_text().splitlines(keepends=True)
+        partial.write_text("".join(lines[:3]) + lines[3][:5])  # cell 2 cut mid-row
+        partial_jsonl.write_text("".join(rows[:2]) + rows[2][:9])
+        run_matrix(self.MATRIX, str(partial), str(partial_jsonl), resume=True)
+        assert partial.read_bytes() == full.read_bytes()
+        got = [json.loads(r) for r in partial_jsonl.read_text().splitlines()]
+        assert [r["cell"] for r in got] == list(range(12))
+
+    def test_resume_after_a_torn_header(self, tmp_path):
+        full, partial = tmp_path / "full.csv", tmp_path / "partial.csv"
+        run_matrix(self.MATRIX, str(full), None)
+        partial.write_text(CSV_HEADER[:7])
         run_matrix(self.MATRIX, str(partial), None, resume=True)
         assert partial.read_bytes() == full.read_bytes()
 

@@ -15,8 +15,6 @@ from privcc import (
 from privcc._rng import make_rng
 from privcc.expmech import exact_output_distribution, exponential_mechanism
 from privcc.solvers import (
-    MAX_AGREEMENT,
-    MIN_DISAGREEMENT,
     enumerate_partitions,
     partition_disagreements,
     solve_exact,
@@ -126,12 +124,11 @@ def test_exact_dp_weighted_parallel_neighbor_ratios():
             h = SignedGraph(5, g.pair_u, g.pair_v, pos, neg, parallel_ok=True)
             assert neighbor_distance(g, h) <= 2.0
             neighbors.append(h)
-        for objective in (MIN_DISAGREEMENT, MAX_AGREEMENT):
-            dist = exact_output_distribution(g, PrivacyParams(eps), objective)
-            for h in neighbors:
-                dist2 = exact_output_distribution(h, PrivacyParams(eps), objective)
-                for key, p in dist.items():
-                    assert abs(math.log(p) - math.log(dist2[key])) <= eps + 1e-9
+        dist = exact_output_distribution(g, PrivacyParams(eps))
+        for h in neighbors:
+            dist2 = exact_output_distribution(h, PrivacyParams(eps))
+            for key, p in dist.items():
+                assert abs(math.log(p) - math.log(dist2[key])) <= eps + 1e-9
 
 
 def test_sampling_matches_exact_distribution():
@@ -144,7 +141,7 @@ def test_sampling_matches_exact_distribution():
     counts = np.zeros(len(keys))
     draws = 100_000
     for _ in range(draws):
-        c = exponential_mechanism(g, params, "min-disagreement", rng)
+        c = exponential_mechanism(g, params, rng)
         counts[index[c.key()]] += 1
     expected = np.array([dist[k] for k in keys]) * draws
     sigma = np.sqrt(expected * (1 - expected / draws))
@@ -157,7 +154,7 @@ def test_sampler_respects_objective():
     g = single_positive_edge()
     rng = make_rng(27)
     merged = sum(
-        exponential_mechanism(g, PrivacyParams(50.0), "min-disagreement", rng).k == 1
+        exponential_mechanism(g, PrivacyParams(50.0), rng).k == 1
         for _ in range(50)
     )
     assert merged == 50
@@ -167,10 +164,10 @@ def test_guards():
     rng = make_rng(28)
     g = random_graph(rng, 13, complete=True)
     with pytest.raises(SizeRefusal):
-        exponential_mechanism(g, PrivacyParams(1.0), "min-disagreement", rng)
+        exponential_mechanism(g, PrivacyParams(1.0), rng)
     small = random_graph(rng, 11, complete=True)
     with pytest.raises(SizeRefusal):
         exact_output_distribution(small, PrivacyParams(1.0))
     g5 = random_graph(rng, 5, complete=True)
     with pytest.raises(ContractViolation):
-        exponential_mechanism(g5, PrivacyParams(1.0, 0.1), "min-disagreement", rng)
+        exponential_mechanism(g5, PrivacyParams(1.0, 0.1), rng)

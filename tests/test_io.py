@@ -31,8 +31,9 @@ def test_parallel_pair():
 
 
 def test_bad_inputs():
-    for text in ["", "3\n", "2 1\n0 1 *\n", "2 2\n0 1 +\n", "2 1\n0 1 + x\n"]:
-        with pytest.raises((ContractViolation, ValueError)):
+    for text in ["", "3\n", "2 1\n0 1 *\n", "2 2\n0 1 +\n", "2 1\n0 1 + x\n",
+                 "x 1\n0 1 +\n", "2 1\na 1 +\n"]:
+        with pytest.raises(ContractViolation):
             parse_edge_list(text)
 
 

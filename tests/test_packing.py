@@ -163,7 +163,7 @@ class TestPackingExperiment:
         cb = brute_force_code(9, 0.2, 8, rng)
 
         def em(graph, params, r):
-            return exponential_mechanism(graph, params, "min-disagreement", r)
+            return exponential_mechanism(graph, params, r)
 
         rows = packing_experiment(em, PrivacyParams(0.1), 1.0, cb, 10, rng)
         assert len(rows) == cb.size

@@ -10,13 +10,11 @@ from privcc import (
     Clustering,
     SignedGraph,
     SizeRefusal,
-    agreement,
     disagreement,
 )
 from privcc._rng import make_rng
 from privcc.solvers import (
     _MAX_PASSES,
-    MAX_AGREEMENT,
     SolverConfig,
     cap_clusters,
     enumerate_partitions,
@@ -249,16 +247,6 @@ class TestSolve:
         g = random_graph(rng, 15, complete=True)
         c = solve(g, SolverConfig(max_clusters=1))
         assert c.k == 1
-
-    def test_objectives_agree(self):
-        # agreement = total - disagreement, so the argmax and argmin coincide
-        rng = make_rng(14)
-        for trial in range(100):
-            g = random_graph(rng, 9, complete=True)
-            a = solve(g, SolverConfig())
-            b = solve(g, SolverConfig(objective=MAX_AGREEMENT))
-            assert a == b
-            assert disagreement(a, g) + agreement(a, g) == g.total_weight
 
     def test_net_matrix_scattered_once_per_solve(self, monkeypatch):
         import privcc.graphs as graphs
