@@ -1,4 +1,4 @@
-"""Weighted/incomplete release through the pluggable cut engine.
+"""Weighted/incomplete release: per-pair Laplace noise on the net channels.
 
 Releases a sparse weighted graph channel by channel, then audits how far
 the released cuts drift from the truth, and checks the error-transfer

@@ -41,14 +41,7 @@ from .release_unweighted import (
     round_to_signed,
     solve_merge_lp,
 )
-from .release_weighted import (
-    CutReleaser,
-    LaplaceCutReleaser,
-    ZeroNoiseCutReleaser,
-    get_cut_releaser,
-    release_weighted,
-    sampled_cut_distance,
-)
+from .release_weighted import release_weighted, sampled_cut_distance
 from .packing import (
     Codebook,
     brute_force_code,

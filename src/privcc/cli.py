@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--input", required=True)
-    p.add_argument("--engine", default="laplace", help=_ENGINE_HELP)
+    p.add_argument("--engine", default=PipelineConfig.engine, help=_ENGINE_HELP)
     p.add_argument("--samples", type=int, default=256)
     p.set_defaults(func=_cmd_audit_cuts)
 

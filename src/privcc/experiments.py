@@ -11,10 +11,11 @@ A pipeline run has three strictly separated stages:
 
 Records are emitted twice: a CSV row with the plot-ready, deterministic
 fields (identical bytes for identical seeds), and a JSONL record that
-additionally carries wall time and the coarsening report.  The split is
-declared once, on the fields of :class:`ExperimentRecord`: a field marked
-``jsonl_only`` in its metadata stays out of the CSV, and both
-``CSV_HEADER`` and ``csv_row`` are derived from the rest.
+additionally carries wall times (total and per stage) and the coarsening
+report.  The split is declared once, on the fields of
+:class:`ExperimentRecord`: a field marked ``jsonl_only`` in its metadata
+stays out of the CSV, and both ``CSV_HEADER`` and ``csv_row`` are
+derived from the rest.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 
 from ._rng import make_rng, stream_id
 from .graphs import (
+    ENGINES,
     Clustering,
     ContractViolation,
     PrivacyParams,
@@ -166,7 +168,7 @@ class PipelineConfig:
     def __post_init__(self):
         if self.mechanism not in ("unweighted-laplace", "weighted-laplace", "exponential"):
             raise ContractViolation(f"unknown mechanism {self.mechanism!r}")
-        if self.engine not in ("laplace", "zero-noise-test"):
+        if self.engine not in ENGINES:
             raise ContractViolation(f"unknown release engine {self.engine!r}")
         if self.mechanism == "exponential" and self.zero_noise:
             raise ContractViolation("the exponential mechanism has no zero-noise engine")
@@ -210,6 +212,10 @@ class ExperimentRecord:
     nonprivate_eval: bool = field(default=True, metadata=_JSONL_ONLY)
     merge_iterations: int | None = field(default=None, metadata=_JSONL_ONLY)
     merge_stop: str | None = field(default=None, metadata=_JSONL_ONLY)
+    # per-stage wall times; the exponential route's sampling counts as release
+    release_stage_ms: float | None = field(default=None, metadata=_JSONL_ONLY)
+    postprocess_stage_ms: float | None = field(default=None, metadata=_JSONL_ONLY)
+    evaluate_stage_ms: float | None = field(default=None, metadata=_JSONL_ONLY)
 
     def csv_row(self) -> str:
         def fmt(x):
@@ -237,9 +243,7 @@ def release_stage(
     """The only stage with access to the private graph."""
     rng = make_rng(seed, "release")
     if config.mechanism == "unweighted-laplace":
-        return release_unweighted(
-            graph, params, config.merge, rng, seed=seed, zero_noise=config.zero_noise
-        )
+        return release_unweighted(graph, params, config.merge, rng, seed=seed, engine=config.engine)
     if config.mechanism == "weighted-laplace":
         return release_weighted(graph, params, config.engine, rng, seed=seed)
     raise ContractViolation(f"mechanism {config.mechanism!r} has no release stage")
@@ -316,11 +320,14 @@ def run_pipeline(
         released = graph  # no synthetic graph in this route
         audit = None
         report = None
+        t_release = t_post = time.perf_counter()
     else:
         released, audit = release_stage(graph, params, config, seed)
+        t_release = time.perf_counter()
         clustering, report = postprocess_stage(released, config, seed)
+        t_post = time.perf_counter()
     metrics = evaluate_stage(graph, clustering, released, truth)
-    wall_ms = (time.perf_counter() - t0) * 1000.0  # includes evaluation
+    t_end = time.perf_counter()
     record = ExperimentRecord(
         cell=cell,
         instance=instance_label,
@@ -330,10 +337,13 @@ def run_pipeline(
         delta=params.delta,
         seed=seed,
         lambda_residual=audit.lambda_residual if audit else None,
-        wall_ms=wall_ms,
+        wall_ms=(t_end - t0) * 1000.0,  # includes evaluation
         coarsen_report=report.to_dict() if report is not None else None,
         merge_iterations=audit.merge_iterations if audit else None,
         merge_stop=audit.merge_stop if audit else None,
+        release_stage_ms=(t_release - t0) * 1000.0,
+        postprocess_stage_ms=(t_post - t_release) * 1000.0 if audit else None,
+        evaluate_stage_ms=(t_end - t_post) * 1000.0,
         **metrics,
     )
     return clustering, record
@@ -366,6 +376,41 @@ def _drop_torn_line(path: str) -> None:
             fh.truncate(data.rfind(b"\n") + 1)
 
 
+def _cell_of(line: str) -> int | None:
+    """The cell id of a CSV row; None for the header or a blank line."""
+    if not line.strip() or line.startswith("cell,"):
+        return None
+    return int(line.split(",", 1)[0])
+
+
+def _done_cells(csv_path: str, jsonl_path: str | None) -> set[int]:
+    """Cells recorded in the CSV and, when a JSONL is kept, in the JSONL too.
+
+    Torn last lines are dropped first.  A CSV row is written before its
+    JSONL row, so a run stopped between the two leaves a last CSV row with
+    no JSONL record; it is cut off too, and its cell runs again.
+    """
+    for path in (csv_path, jsonl_path):
+        if path and os.path.exists(path):
+            _drop_torn_line(path)
+    with open(csv_path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    done = {c for c in map(_cell_of, lines) if c is not None}
+    if jsonl_path is None:
+        return done
+    logged: set[int | None] = {None}  # the header and blank lines stay
+    if os.path.exists(jsonl_path):
+        with open(jsonl_path, "r", encoding="utf-8") as fh:
+            logged |= {json.loads(ln)["cell"] for ln in fh if ln.strip()}
+    keep = len(lines)
+    while keep and _cell_of(lines[keep - 1]) not in logged:
+        keep -= 1
+    if keep < len(lines):
+        with open(csv_path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines[:keep])
+    return done & logged
+
+
 def run_matrix(
     matrix: dict,
     csv_path: str,
@@ -376,9 +421,10 @@ def run_matrix(
 
     Cells are enumerated in deterministic order and written as they
     finish through a single writer.  With ``resume``, cells whose ids
-    already appear in the CSV are skipped, so an interrupted run picks up
-    where it left off and converges to the same file; a last row cut off
-    mid-write (no trailing newline) is dropped from the CSV and JSONL and
+    already appear in the CSV (and in the JSONL, if one is kept) are
+    skipped, so an interrupted run picks up where it left off and
+    converges to the same files; a last row cut off mid-write (no trailing
+    newline), or a last CSV row without its JSONL record, is dropped and
     its cell runs again.  Failures are reported per cell on stderr and do
     not stop the matrix.
     """
@@ -389,17 +435,9 @@ def run_matrix(
     pipelines = [_pipeline_from_dict(p) for p in matrix["pipelines"]]
     replicates = [int(s) for s in matrix.get("seeds", [0])]
 
-    done: set[int] = set()
-    if resume and os.path.exists(csv_path):
-        for path in (csv_path, jsonl_path):
-            if path and os.path.exists(path):
-                _drop_torn_line(path)
-        with open(csv_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line and not line.startswith("cell,"):
-                    done.add(int(line.split(",", 1)[0]))
-    mode = "a" if (resume and os.path.exists(csv_path)) else "w"
+    resuming = resume and os.path.exists(csv_path)
+    done = _done_cells(csv_path, jsonl_path) if resuming else set()
+    mode = "a" if resuming else "w"
     records: list[ExperimentRecord] = []
     with open(csv_path, mode, encoding="utf-8") as csv_fh:
         jsonl_fh = open(jsonl_path, mode, encoding="utf-8") if jsonl_path else None

@@ -31,6 +31,8 @@ __all__ = [
     "Clustering",
     "WeightedChannel",
     "PrivacyParams",
+    "ENGINES",
+    "laplace_scale",
     "ReleaseOutput",
     "disagreement",
     "agreement",
@@ -184,24 +186,17 @@ class SignedGraph:
         pos_flat: np.ndarray,
         neg_flat: np.ndarray,
         *,
-        complete: bool = False,
         parallel_ok: bool = False,
     ) -> "SignedGraph":
-        """Build from flat per-pair channel weights in canonical order."""
+        """Build from flat per-pair channel weights in canonical order, dropping zero pairs."""
         pu, pv = np.triu_indices(n, 1)
         pos_flat = np.asarray(pos_flat, dtype=np.float64)
         neg_flat = np.asarray(neg_flat, dtype=np.float64)
         if pos_flat.shape != pu.shape or neg_flat.shape != pu.shape:
             raise ContractViolation("channel arrays must cover all pairs")
-        keep = (pos_flat > 0) | (neg_flat > 0) if not complete else slice(None)
+        keep = (pos_flat > 0) | (neg_flat > 0)
         return cls(
-            n,
-            pu[keep],
-            pv[keep],
-            pos_flat[keep],
-            neg_flat[keep],
-            complete=complete,
-            parallel_ok=parallel_ok,
+            n, pu[keep], pv[keep], pos_flat[keep], neg_flat[keep], parallel_ok=parallel_ok
         )
 
     @classmethod
@@ -391,6 +386,22 @@ class PrivacyParams:
 
     def split(self, ways: int = 2) -> "PrivacyParams":
         return PrivacyParams(self.epsilon / ways, self.delta / ways)
+
+
+# release engines: per-coordinate Laplace noise, or none (not private, tests only)
+ENGINES = ("laplace", "zero-noise-test")
+
+
+def laplace_scale(engine: str, sensitivity: float, epsilon: float) -> float:
+    """Per-coordinate noise scale ``sensitivity / epsilon`` under ``engine``.
+
+    The one noise rule of both release routes: an L1 sensitivity of
+    ``sensitivity`` at budget ``epsilon`` needs Lap(sensitivity / epsilon).
+    The test engine adds no noise, so its scale is 0.
+    """
+    if engine not in ENGINES:
+        raise ContractViolation(f"unknown release engine {engine!r}")
+    return 0.0 if engine == "zero-noise-test" else sensitivity / epsilon
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@
 Three stages, privacy carried entirely by the first:
 
 1. :func:`laplace_release` returns each sign channel with independent
-   Laplace noise added to every pair.  Flipping one edge moves one
-   coordinate of each channel by 1 (total L1 change 2), so
-   per-coordinate scale ``2 / eps`` makes the pair of channel releases
-   eps-DP jointly.
+   Laplace noise added to every pair, at the scale the ``engine`` gives
+   (:func:`~privcc.graphs.laplace_scale`).  Flipping one edge moves one
+   coordinate of each channel by 1, so ``laplace`` noise at scale
+   ``1 / (eps/2)`` per channel makes the pair of channel releases eps-DP
+   jointly; ``zero-noise-test`` adds none and is not private.
 2. :func:`solve_merge_lp` merges the two noisy channels into edge
    probabilities ``x in [0, 1]`` by approximately minimizing the largest
    deviation between cut sums of x and cut sums of the noisy positive
@@ -51,6 +52,7 @@ from .graphs import (
     ReleaseOutput,
     SignedGraph,
     WeightedChannel,
+    laplace_scale,
 )
 
 __all__ = [
@@ -64,6 +66,7 @@ __all__ = [
 
 _PATIENCE = 300  # merge solver stops after this many non-improving iterations
 _RESYNC = 50  # cut sums are recomputed exactly at least this often
+CHANNEL_SENSITIVITY = 1.0  # flipping one edge moves each 0/1 channel by 1
 
 
 @dataclass(frozen=True)
@@ -102,13 +105,11 @@ def laplace_release(
 
     Unbiased: the expected weight of any pair set equals its true weight.
     ``noise_scale == 0`` is the deterministic test mode (not private);
-    negative scales are rejected.
+    negative scales are rejected.  Both release routes noise through here.
     """
     if noise_scale < 0:
         raise ContractViolation(f"noise scale must be >= 0, got {noise_scale}")
     vals = channel_weights.values
-    if not np.all((vals == 0.0) | (vals == 1.0)):
-        raise ContractViolation("channel must be an unweighted 0/1 indicator")
     if noise_scale == 0:
         noisy = vals.copy()
     else:
@@ -273,17 +274,18 @@ def release_unweighted(
     rng: np.random.Generator | None = None,
     *,
     seed: int | None = None,
-    zero_noise: bool = False,
+    engine: str = "laplace",
 ) -> tuple[SignedGraph, ReleaseOutput]:
     """eps-DP synthetic release of an unweighted complete signed graph.
 
-    Noises both sign channels at per-coordinate scale ``2 / eps``, merges
-    them into edge probabilities under ``merge`` (default
-    :class:`MergeConfig`), and rounds.  Everything after the noising is
-    post-processing.  ``seed`` is only recorded in the audit.  With
-    ``zero_noise`` the noise is suppressed and the output equals the
-    input; that mode exists for pipeline tests and is flagged non-private
-    in the audit metadata.
+    Noises both sign channels under ``engine`` (one of
+    :data:`~privcc.graphs.ENGINES`) at ``CHANNEL_SENSITIVITY / (eps/2)``
+    per pair, plus channel first, merges them into edge probabilities
+    under ``merge`` (default :class:`MergeConfig`), and rounds.
+    Everything after the noising is post-processing.  ``seed`` is only
+    recorded in the audit.  With the ``zero-noise-test`` engine the output
+    equals the input; that mode exists for pipeline tests and is flagged
+    non-private in the audit metadata.
     """
     merge = merge or MergeConfig()
     if rng is None:
@@ -292,7 +294,8 @@ def release_unweighted(
         raise ContractViolation("release_unweighted needs an unweighted complete graph")
     if params.delta != 0:
         raise ContractViolation("this mechanism is pure DP; delta must be 0")
-    scale = 0.0 if zero_noise else 2.0 / params.epsilon
+    half = params.split(2)
+    scale = laplace_scale(engine, CHANNEL_SENSITIVITY, half.epsilon)
     n = graph.n
     noisy_plus = laplace_release(WeightedChannel(n, graph.channel_flat(1)), scale, rng)
     noisy_minus = laplace_release(WeightedChannel(n, graph.channel_flat(-1)), scale, rng)
@@ -310,12 +313,12 @@ def release_unweighted(
         epsilon=params.epsilon,
         delta=0.0,
         noise_scale=scale,
-        channel_budgets=(params.epsilon / 2.0, params.epsilon / 2.0),
+        channel_budgets=(half.epsilon, half.epsilon),
         lambda_residual=solution.lam,
         merge_strategy=solution.strategy,
         constraints_checked=solution.constraints_checked,
         seed=seed,
-        private=not zero_noise,
+        private=scale > 0,
         merge_iterations=solution.iterations_run,
         merge_stop=solution.stop,
     )

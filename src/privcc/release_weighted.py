@@ -2,35 +2,25 @@
 
 The mechanism splits the input into the sign channels ``max(net, 0)``
 and ``max(-net, 0)`` of its net (positive minus negative) pair weights,
-hands each to a pluggable cut-preserving releaser at half the privacy
-budget, and reunites the outputs as a graph that may carry one positive
-and one negative edge per pair.
-
-Neighbours are graphs at :func:`~privcc.graphs.neighbor_distance` at most
-2, i.e. net weights at L1 distance 2.  Both channel maps are 1-Lipschitz,
-so a neighbour moves each channel by at most 2 in L1, as each half-budget
-releaser assumes (the raw channels move arbitrarily at net distance 0).
+adds per-pair Laplace noise to each at half the privacy budget, zeroes
+weights below ``scale * ln(n)``, and reunites the outputs as a graph
+that may carry one positive and one negative edge per pair.
 
 For any clustering into k clusters the disagreement (and agreement)
 between the graph of those two channels and the output differ by at most
 ``k * (cut_distance(minus channels) + cut_distance(plus channels))``,
-so a releaser's cut error translates directly into an objective error
+so the release's cut error translates directly into an objective error
 bound; the input itself differs from that graph by ``sum(min(pos, neg))``
 on every clustering alike.
 
-The default engine adds per-pair Laplace noise, then zeroes weights
-below a threshold of ``scale * ln(n)`` (post-processing, so privacy is
-unaffected).  Without the threshold the noise floor alone would inflate
-every cut by order n^2; with it, sparse instances keep cut errors near
-linear in n.  Unbiasedness holds for the raw noisy weights only, before
-thresholding.  A stronger releaser with cut error ~ sqrt(m n / eps) is
-known to exist; the :class:`CutReleaser` interface is the slot for
-plugging one in: pass an instance as the ``engine``.
+The threshold is post-processing, so privacy is unaffected.  Without it
+the noise floor alone would inflate every cut by order n^2; with it,
+sparse instances keep cut errors near linear in n.  Unbiasedness holds
+for the noisy weights only, before thresholding.
 """
 
 from __future__ import annotations
 
-import abc
 import math
 
 import numpy as np
@@ -42,98 +32,27 @@ from .graphs import (
     SignedGraph,
     WeightedChannel,
     cut_sums,
+    laplace_scale,
 )
+from .release_unweighted import laplace_release
 
 __all__ = [
-    "CutReleaser",
-    "LaplaceCutReleaser",
-    "ZeroNoiseCutReleaser",
-    "get_cut_releaser",
     "net_channels",
     "release_weighted",
     "sampled_cut_distance",
 ]
 
-
-class CutReleaser(abc.ABC):
-    """Releases one non-negative weight channel under a privacy budget."""
-
-    name: str = "abstract"
-    needs_delta: bool = False
-    private: bool = True  # False marks a test engine whose output is not private
-
-    @abc.abstractmethod
-    def release(
-        self, channel: WeightedChannel, params: PrivacyParams, rng: np.random.Generator
-    ) -> WeightedChannel:
-        """Return a private channel with non-negative weights."""
-
-    def noise_scale(self, params: PrivacyParams) -> float:
-        """Per-pair noise scale at this budget, reported in the audit; 0 if none."""
-        return 0.0
-
-    def validate_params(self, params: PrivacyParams) -> None:
-        if self.needs_delta:
-            if not (0 < params.epsilon <= 0.5 and 0 < params.delta <= 0.5):
-                raise ContractViolation(
-                    f"engine {self.name} needs epsilon, delta in (0, 1/2]"
-                )
-
-
-class LaplaceCutReleaser(CutReleaser):
-    """Per-pair Laplace noise at scale 2/eps, then threshold and clip.
-
-    Neighbours are at net L1 distance at most 2 (``neighbor_distance``), and
-    each channel is 1-Lipschitz in the net weights, hence the scale.
-    Weights below ``scale * ln(n)`` are zeroed after noising so that the
-    noise floor on absent pairs does not accumulate across large cuts.
-    """
-
-    name = "laplace"
-
-    def noise_scale(self, params: PrivacyParams) -> float:
-        return 2.0 / params.epsilon
-
-    def raw_release(self, channel, params, rng):
-        """Noisy channel before thresholding: unbiased, possibly negative.
-
-        Already private on its own; the threshold below is post-processing.
-        """
-        self.validate_params(params)
-        scale = self.noise_scale(params)
-        noisy = channel.values + rng.laplace(0.0, scale, size=channel.values.size)
-        return WeightedChannel(channel.n, noisy)
-
-    def release(self, channel, params, rng):
-        raw = self.raw_release(channel, params, rng)
-        scale = self.noise_scale(params)
-        tau = scale * math.log(max(channel.n, 2))
-        return WeightedChannel(channel.n, np.where(raw.values >= tau, raw.values, 0.0))
-
-
-class ZeroNoiseCutReleaser(CutReleaser):
-    """Identity passthrough; no privacy.  Pipeline tests only."""
-
-    name = "zero-noise-test"
-    private = False
-
-    def release(self, channel, params, rng):
-        return WeightedChannel(channel.n, channel.values)
-
-
-def get_cut_releaser(name: CutReleaser | str) -> CutReleaser:
-    """The engine named ``laplace`` or ``zero-noise-test``; an instance as it is."""
-    if isinstance(name, CutReleaser):
-        return name
-    if name == "laplace":
-        return LaplaceCutReleaser()
-    if name == "zero-noise-test":
-        return ZeroNoiseCutReleaser()
-    raise ContractViolation(f"unknown release engine {name!r}")
+# neighbours are at ``neighbor_distance`` <= 2 (net weights at L1 distance 2),
+# and each net channel is 1-Lipschitz in the net weights: it moves by <= 2 in L1
+CHANNEL_SENSITIVITY = 2.0
 
 
 def net_channels(graph: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """The flat channels ``max(net, 0)`` and ``max(-net, 0)`` that are released."""
+    """The flat channels ``max(net, 0)`` and ``max(-net, 0)`` that are released.
+
+    Releasing these instead of the raw channels bounds the sensitivity: the
+    raw channels of a pair can move arbitrarily at net distance 0.
+    """
     net = graph.channel_flat(1) - graph.channel_flat(-1)
     return np.maximum(net, 0.0), np.maximum(-net, 0.0)
 
@@ -141,37 +60,34 @@ def net_channels(graph: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
 def release_weighted(
     graph: SignedGraph,
     params: PrivacyParams,
-    engine: CutReleaser | str,
+    engine: str,
     rng: np.random.Generator,
     seed: int | None = None,
 ) -> tuple[SignedGraph, ReleaseOutput]:
     """(eps, delta)-DP release of a weighted signed graph.
 
-    Each net-canonical channel goes through ``engine`` (a name that
-    :func:`get_cut_releaser` knows, or a :class:`CutReleaser` instance) at
-    half the budget; the outputs recombine with their signs, possibly
-    giving parallel pairs.
+    Each net-canonical channel gets Lap(``CHANNEL_SENSITIVITY / (eps/2)``)
+    per pair under ``engine`` (one of :data:`~privcc.graphs.ENGINES`), plus
+    channel first; weights below ``scale * ln(max(n, 2))`` are zeroed.  The
+    outputs recombine with their signs, possibly giving parallel pairs.
     """
-    engine = get_cut_releaser(engine)
-    engine.validate_params(params)
     half = params.split(2)
+    scale = laplace_scale(engine, CHANNEL_SENSITIVITY, half.epsilon)
     n = graph.n
-    plus, minus = net_channels(graph)
-    out_plus = engine.release(WeightedChannel(n, plus), half, rng)
-    out_minus = engine.release(WeightedChannel(n, minus), half, rng)
-    if (out_plus.values < 0).any() or (out_minus.values < 0).any():
-        raise ContractViolation(f"engine {engine.name} emitted negative weights")
-    released = SignedGraph.from_channel_arrays(
-        n, out_plus.values, out_minus.values, parallel_ok=True
-    )
+    tau = scale * math.log(max(n, 2))
+    out = []
+    for channel in net_channels(graph):
+        noisy = laplace_release(WeightedChannel(n, channel), scale, rng).values
+        out.append(np.where(noisy >= tau, noisy, 0.0))
+    released = SignedGraph.from_channel_arrays(n, *out, parallel_ok=True)
     audit = ReleaseOutput(
-        mechanism=f"weighted-{engine.name}",
+        mechanism=f"weighted-{engine}",
         epsilon=params.epsilon,
         delta=params.delta,
-        noise_scale=engine.noise_scale(half),
+        noise_scale=scale,
         channel_budgets=(half.epsilon, half.epsilon),
         seed=seed,
-        private=engine.private,
+        private=scale > 0,
     )
     return released, audit
 

@@ -72,6 +72,12 @@ def test_audit_cuts_compares_net_canonical_channels(tmp_path):
     assert report["cut_distance_minus"] == 0.0
 
 
+def test_audit_cuts_refuses_unknown_engine(tmp_path):
+    g_path = tmp_path / "g.txt"
+    g_path.write_text("3 2\n0 1 + 2\n1 2 - 1\n")
+    assert run(["audit-cuts", "--input", g_path, "--engine", "what"]) == 2
+
+
 def test_pipeline_formats(tmp_path, capsys):
     assert run(["pipeline", "--kind", "planted", "--n", "10", "--k", "2",
                 "--p", "0.1", "--seed", "6", "--engine", "zero-noise-test",

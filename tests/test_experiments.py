@@ -25,6 +25,7 @@ from privcc.experiments import (
     run_matrix,
     run_pipeline,
 )
+from privcc.release_unweighted import MergeConfig
 from privcc.solvers import SolverConfig
 
 
@@ -140,6 +141,21 @@ class TestPipeline:
         )
         assert rec.mechanism == "exponential"
         assert rec.err + rec.agr == g.total_weight
+
+    @pytest.mark.parametrize("mechanism, kind", [
+        ("unweighted-laplace", "planted"),
+        ("weighted-laplace", "weighted-random"),
+        ("exponential", "planted"),
+    ])
+    def test_stage_times_add_up_to_wall_time(self, mechanism, kind):
+        g, truth = generate_instance(InstanceSpec(kind=kind, n=8, seed=13))
+        config = PipelineConfig(mechanism=mechanism, merge=MergeConfig(strategy="per-edge"))
+        _, rec = run_pipeline(g, PrivacyParams(1.0), config, seed=14, truth=truth)
+        stages = [rec.release_stage_ms, rec.postprocess_stage_ms, rec.evaluate_stage_ms]
+        if mechanism == "exponential":  # sampling is the release; nothing is post-processed
+            assert stages.pop(1) is None
+        assert all(t >= 0 for t in stages)
+        assert sum(stages) <= rec.wall_ms * (1 + 1e-12)  # float rounding only
 
     def test_engine_is_the_noise_switch(self):
         assert PipelineConfig(engine="zero-noise-test").zero_noise
@@ -270,12 +286,17 @@ class TestMatrix:
         run_matrix(self.MATRIX, str(full), str(full_jsonl))
         lines = full.read_text().splitlines(keepends=True)
         rows = full_jsonl.read_text().splitlines(keepends=True)
-        partial.write_text("".join(lines[:3]) + lines[3][:5])  # cell 2 cut mid-row
-        partial_jsonl.write_text("".join(rows[:2]) + rows[2][:9])
-        run_matrix(self.MATRIX, str(partial), str(partial_jsonl), resume=True)
-        assert partial.read_bytes() == full.read_bytes()
-        got = [json.loads(r) for r in partial_jsonl.read_text().splitlines()]
-        assert [r["cell"] for r in got] == list(range(12))
+        torn_jsonl = "".join(rows[:2]) + rows[2][:9]  # cell 2 cut mid-row
+        for torn_csv in (
+            "".join(lines[:3]) + lines[3][:5],  # cell 2 cut mid-row
+            "".join(lines[:4]),  # cell 2 written in full, its JSONL row not
+        ):
+            partial.write_text(torn_csv)
+            partial_jsonl.write_text(torn_jsonl)
+            run_matrix(self.MATRIX, str(partial), str(partial_jsonl), resume=True)
+            assert partial.read_bytes() == full.read_bytes()
+            got = [json.loads(r) for r in partial_jsonl.read_text().splitlines()]
+            assert [r["cell"] for r in got] == list(range(12))
 
     def test_resume_after_a_torn_header(self, tmp_path):
         full, partial = tmp_path / "full.csv", tmp_path / "partial.csv"
@@ -306,6 +327,7 @@ class TestMatrix:
         assert "wall_ms" in row and "wall_ms" not in CSV_HEADER
         jsonl_only = {
             "wall_ms", "coarsen_report", "nonprivate_eval", "merge_iterations", "merge_stop",
+            "release_stage_ms", "postprocess_stage_ms", "evaluate_stage_ms",
         }
         assert set(row) == set(CSV_HEADER.split(",")) | jsonl_only
         assert 1 <= row["merge_iterations"] <= 60

@@ -6,20 +6,15 @@ import pytest
 from privcc import (
     ContractViolation,
     PrivacyParams,
+    ReleaseOutput,
     SignedGraph,
     WeightedChannel,
     disagreement,
     neighbor_distance,
 )
 from privcc._rng import make_rng
-from privcc.release_weighted import (
-    CutReleaser,
-    LaplaceCutReleaser,
-    ZeroNoiseCutReleaser,
-    get_cut_releaser,
-    release_weighted,
-    sampled_cut_distance,
-)
+from privcc.release_unweighted import laplace_release, release_unweighted
+from privcc.release_weighted import release_weighted, sampled_cut_distance
 
 from helpers import random_clustering, random_graph
 
@@ -44,6 +39,34 @@ def brute_force_cut_distance(a: WeightedChannel, b: WeightedChannel) -> float:
 def star_graph(n, weight=1.0):
     edges = [(0, i, 1, weight) for i in range(1, n)]
     return SignedGraph.from_edges(n, edges)
+
+
+def reference_release_weighted(graph, params, engine, rng, seed=None):
+    """The per-channel rule written out: net channels, Lap(2 / (eps/2)) on the
+    plus channel then the minus channel, then zero below ``scale * ln max(n, 2)``."""
+    half = params.epsilon / 2
+    zero = engine == "zero-noise-test"
+    scale = 0.0 if zero else 2.0 / half
+    net = graph.channel_flat(1) - graph.channel_flat(-1)
+    out = []
+    for channel in (np.maximum(net, 0.0), np.maximum(-net, 0.0)):
+        if zero:
+            out.append(channel)
+            continue
+        noisy = channel + rng.laplace(0.0, scale, size=channel.size)
+        tau = scale * math.log(max(graph.n, 2))
+        out.append(np.where(noisy >= tau, noisy, 0.0))
+    released = SignedGraph.from_channel_arrays(graph.n, *out, parallel_ok=True)
+    audit = ReleaseOutput(
+        mechanism=f"weighted-{engine}",
+        epsilon=params.epsilon,
+        delta=params.delta,
+        noise_scale=scale,
+        channel_budgets=(half, half),
+        seed=seed,
+        private=not zero,
+    )
+    return released, audit
 
 
 class TestEngines:
@@ -75,57 +98,39 @@ class TestEngines:
         n, trials = 50, 10000
         g = star_graph(n)
         ch = WeightedChannel(n, g.channel_flat(1))
-        engine = LaplaceCutReleaser()
         params = PrivacyParams(1.0)
         pick = rng.random(ch.values.size) < 0.5
         true_sum = ch.values[pick].sum()
         acc = 0.0
         for _ in range(trials):
-            acc += engine.raw_release(ch, params, rng).values[pick].sum()
+            acc += laplace_release(ch, 2.0 / params.epsilon, rng).values[pick].sum()
         scale = 2.0 / params.epsilon
         se = scale * math.sqrt(2 * pick.sum()) / math.sqrt(trials)
         assert abs(acc / trials - true_sum) <= 5 * se
 
-    def test_registry(self):
-        assert isinstance(get_cut_releaser("laplace"), LaplaceCutReleaser)
-        assert isinstance(get_cut_releaser("zero-noise-test"), ZeroNoiseCutReleaser)
+    @pytest.mark.parametrize("engine", ["laplace", "zero-noise-test"])
+    def test_laplace_matches_reference(self, engine):
+        for i in range(12):
+            eps = (0.1, 0.5, 1.0, 3.0, 7.0)[i % 5]
+            g = random_graph(make_rng(400 + i), 6 + i, weighted=True,
+                             parallel=bool(i % 2), density=0.6)
+            params = PrivacyParams(eps, 0.05 * (i % 3))
+            rng, ref_rng = make_rng(500 + i), make_rng(500 + i)
+            h, audit = release_weighted(g, params, engine, rng, seed=i)
+            want, want_audit = reference_release_weighted(g, params, engine, ref_rng, seed=i)
+            for sign in (1, -1):
+                assert h.channel_flat(sign).tobytes() == want.channel_flat(sign).tobytes()
+            assert audit.audit_dict() == want_audit.audit_dict()
+            assert rng.random() == ref_rng.random()  # both drew the same count
 
-        class Fake(ZeroNoiseCutReleaser):
-            name = "fake"
-
-        fake = Fake()
-        assert get_cut_releaser(fake) is fake
-        with pytest.raises(ContractViolation):
-            get_cut_releaser("what")
-
-    def test_delta_engine_budget_window(self):
-        class NeedsDelta(ZeroNoiseCutReleaser):
-            name = "needs-delta"
-            needs_delta = True
-
-        rng = make_rng(75)
-        g = random_graph(rng, 6, weighted=True)
-        release_weighted(g, PrivacyParams(0.4, 0.2), NeedsDelta(), rng)
-        with pytest.raises(ContractViolation):
-            release_weighted(g, PrivacyParams(0.8, 0.2), NeedsDelta(), rng)
-
-    def test_external_engine_reports_scale_and_privacy(self):
-        class Rounded(CutReleaser):
-            name = "rounded"
-            private = False
-
-            def release(self, channel, params, rng):
-                return WeightedChannel(channel.n, np.round(channel.values))
-
-            def noise_scale(self, params):
-                return 3.0 / params.epsilon
-
-        rng = make_rng(85)
-        g = random_graph(rng, 6, weighted=True)
-        _, audit = release_weighted(g, PrivacyParams(1.0), Rounded(), rng)
-        assert audit.mechanism == "weighted-rounded"
-        assert audit.noise_scale == 6.0  # 3 / (eps/2)
-        assert audit.private is False
+    @pytest.mark.parametrize("route", ["weighted", "unweighted"])
+    def test_unknown_engine_refused(self, route):
+        g = random_graph(make_rng(75), 6, complete=True)
+        with pytest.raises(ContractViolation, match="unknown release engine"):
+            if route == "weighted":
+                release_weighted(g, PrivacyParams(1.0), "what", make_rng(76))
+            else:
+                release_unweighted(g, PrivacyParams(1.0), None, make_rng(76), engine="what")
 
     @pytest.mark.parametrize("engine", ["laplace", "zero-noise-test"])
     def test_parallel_pairs_released_as_net_canonical_form(self, engine):
@@ -141,18 +146,6 @@ class TestEngines:
         h_canon, _ = release_weighted(canon, params, engine, make_rng(87))
         for sign in (1, -1):
             assert h.channel_flat(sign).tobytes() == h_canon.channel_flat(sign).tobytes()
-
-    def test_broken_engine_rejected(self):
-        class Broken(CutReleaser):
-            name = "broken"
-
-            def release(self, channel, params, rng):
-                return WeightedChannel(channel.n, channel.values - 1.0)
-
-        rng = make_rng(76)
-        g = random_graph(rng, 5, weighted=True)
-        with pytest.raises(ContractViolation):
-            release_weighted(g, PrivacyParams(0.4, 0.1), Broken(), rng)
 
 
 class TestCutDistance:
