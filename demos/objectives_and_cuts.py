@@ -22,7 +22,7 @@ from privcc import (
 
 print("== a triangle with one hostile pair ==")
 g = SignedGraph.from_edges(
-    3, [(0, 1, 1, 1.0), (0, 2, 1, 1.0), (1, 2, -1, 1.0)], complete=True
+    3, [(0, 1, 1, 1.0), (0, 2, 1, 1.0), (1, 2, -1, 1.0)]
 )
 everyone = Clustering.one_cluster(3)
 print("one cluster:    err =", disagreement(everyone, g), " agr =", agreement(everyone, g))
@@ -39,7 +39,7 @@ print("\n== channels and neighbors ==")
 gp, gm = split_signs(g)
 print("positive channel weight:", gp.total_weight, " negative:", gm.total_weight)
 flipped = SignedGraph.from_edges(
-    3, [(0, 1, -1, 1.0), (0, 2, 1, 1.0), (1, 2, -1, 1.0)], complete=True
+    3, [(0, 1, -1, 1.0), (0, 2, 1, 1.0), (1, 2, -1, 1.0)]
 )
 print("distance after one sign flip:", neighbor_distance(g, flipped), "(<= 2 means neighbors)")
 

@@ -24,7 +24,7 @@ rng = make_rng(555)
 def random_complete(n):
     pu, pv = np.triu_indices(n, 1)
     pos = (rng.random(pu.size) < 0.5).astype(float)
-    return SignedGraph(n, pu, pv, pos, 1.0 - pos, complete=True)
+    return SignedGraph(n, pu, pv, pos, 1.0 - pos)
 
 
 print("== 30 random instances at n=10 ==")

@@ -34,7 +34,7 @@ print("per-channel budgets:", audit.channel_budgets,
       " noise scale:", audit.noise_scale)
 print("released edges:", released.edge_count,
       " total weight:", round(released.total_weight, 1),
-      " parallel pairs allowed:", released.parallel_ok)
+      " parallel pairs:", int(((released.pos_w > 0) & (released.neg_w > 0)).sum()))
 
 print("\n== sampled cut distances per channel ==")
 dists = {}

@@ -25,7 +25,7 @@ from .graphs import (
 )
 from .io import format_edge_list, read_edge_list, write_edge_list
 from .release_unweighted import MergeConfig
-from .release_weighted import net_channels, release_weighted, sampled_cut_distance
+from .release_weighted import net_channels, sampled_cut_distance
 from .expmech import exact_output_distribution, exponential_mechanism
 from .experiments import (
     CSV_HEADER,
@@ -229,9 +229,9 @@ def _cmd_lowerbound(args) -> int:
 def _cmd_audit_cuts(args) -> int:
     graph = read_edge_list(args.input)
     params = PrivacyParams(args.epsilon, args.delta)
-    rng = make_rng(args.seed, "audit-cuts")
-    released, audit = release_weighted(graph, params, args.engine, rng,
-                                       seed=args.seed)
+    # the release `privcc release --mechanism weighted-laplace` writes
+    config = PipelineConfig(mechanism="weighted-laplace", engine=args.engine)
+    released, _ = release_stage(graph, params, config, args.seed)
     report = {}
     for sign, name, channel in zip((1, -1), ("plus", "minus"), net_channels(graph)):
         a = WeightedChannel(graph.n, channel)

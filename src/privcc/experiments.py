@@ -172,6 +172,10 @@ class PipelineConfig:
             raise ContractViolation(f"unknown release engine {self.engine!r}")
         if self.mechanism == "exponential" and self.zero_noise:
             raise ContractViolation("the exponential mechanism has no zero-noise engine")
+        if self.solver.seed != 0:
+            raise ContractViolation(
+                "solver.seed must stay 0: a pipeline solves with its cell seed"
+            )
 
     @property
     def zero_noise(self) -> bool:

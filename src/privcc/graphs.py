@@ -2,10 +2,11 @@
 
 A :class:`SignedGraph` stores, per unordered vertex pair, a non-negative
 weight on a positive channel and one on a negative channel.  Ordinary
-signed graphs carry weight on at most one channel per pair; graphs with
-``parallel_ok`` may carry both (one positive and one negative edge between
+signed graphs carry weight on at most one channel per pair; a pair may
+carry both (a parallel pair: one positive and one negative edge between
 the same endpoints).  A pair is absent exactly when both channel weights
-are zero.
+are zero.  Everything a graph is follows from its arrays: it is complete
+exactly when every pair carries positive weight.
 
 All types are immutable after construction (backing arrays are marked
 read-only) and every operation in this module is a pure function, so
@@ -75,11 +76,12 @@ class SignedGraph:
 
     Edges are kept as parallel arrays over unordered pairs in canonical
     (lexicographic, ``u < v``) order: ``pair_u``, ``pair_v``, ``pos_w``,
-    ``neg_w``.  Complete graphs keep every pair; sparse graphs keep only
-    pairs with nonzero total weight.
+    ``neg_w``.  A pair may carry weight on both channels.  ``complete`` is
+    computed, not set: it holds exactly when every one of the C(n,2) pairs
+    carries positive weight.
     """
 
-    __slots__ = ("n", "complete", "parallel_ok", "pair_u", "pair_v", "pos_w", "neg_w")
+    __slots__ = ("n", "complete", "pair_u", "pair_v", "pos_w", "neg_w")
 
     def __init__(
         self,
@@ -88,9 +90,6 @@ class SignedGraph:
         pair_v: np.ndarray,
         pos_w: np.ndarray,
         neg_w: np.ndarray,
-        *,
-        complete: bool = False,
-        parallel_ok: bool = False,
     ):
         n = int(n)
         if n < 1:
@@ -113,18 +112,8 @@ class SignedGraph:
             raise ContractViolation("weights must be finite")
         if (pw < 0).any() or (nw < 0).any():
             raise ContractViolation("weights must be non-negative")
-        if not parallel_ok and np.any((pw > 0) & (nw > 0)):
-            raise ContractViolation(
-                "pair carries both signs but parallel_ok is not set"
-            )
-        if complete:
-            if u.size != n * (n - 1) // 2 or np.any(pw + nw <= 0):
-                raise ContractViolation(
-                    "complete graph must carry every pair with positive weight"
-                )
         self.n = n
-        self.complete = bool(complete)
-        self.parallel_ok = bool(parallel_ok)
+        self.complete = u.size == n * (n - 1) // 2 and bool(np.all(pw + nw > 0))
         self.pair_u = _readonly(u)
         self.pair_v = _readonly(v)
         self.pos_w = _readonly(pw)
@@ -137,16 +126,13 @@ class SignedGraph:
         cls,
         n: int,
         edges: Iterable[tuple[int, int, int, float]],
-        *,
-        complete: bool = False,
-        parallel_ok: bool = False,
     ) -> "SignedGraph":
         """Build from ``(u, v, sign, weight)`` tuples, sign in {+1, -1}.
 
-        Duplicate (pair, sign) entries are rejected; a pair appearing once
-        with each sign is allowed only when ``parallel_ok``.
+        A repeated (pair, sign) entry is rejected, whatever its weights; a
+        pair listed once with each sign becomes a parallel pair.
         """
-        acc: dict[tuple[int, int], list[float]] = {}
+        acc: dict[tuple[int, int], list[float | None]] = {}
         for u, v, sign, w in edges:
             u, v = int(u), int(v)
             if u == v:
@@ -155,17 +141,17 @@ class SignedGraph:
                 u, v = v, u
             if sign not in (1, -1):
                 raise ContractViolation(f"sign must be +1 or -1, got {sign!r}")
-            slot = acc.setdefault((u, v), [0.0, 0.0])
+            slot = acc.setdefault((u, v), [None, None])  # None: sign not listed yet
             idx = 0 if sign == 1 else 1
-            if slot[idx] != 0.0:
+            if slot[idx] is not None:
                 raise ContractViolation(f"duplicate edge {(u, v)} with sign {sign}")
             slot[idx] = float(w)
         keys = sorted(acc)
         pu = np.array([k[0] for k in keys], dtype=np.int64)
         pv = np.array([k[1] for k in keys], dtype=np.int64)
-        pw = np.array([acc[k][0] for k in keys], dtype=np.float64)
-        nw = np.array([acc[k][1] for k in keys], dtype=np.float64)
-        return cls(n, pu, pv, pw, nw, complete=complete, parallel_ok=parallel_ok)
+        pw = np.array([acc[k][0] or 0.0 for k in keys], dtype=np.float64)
+        nw = np.array([acc[k][1] or 0.0 for k in keys], dtype=np.float64)
+        return cls(n, pu, pv, pw, nw)
 
     @classmethod
     def complete_unweighted(cls, n: int, positive: np.ndarray) -> "SignedGraph":
@@ -177,7 +163,7 @@ class SignedGraph:
         """
         pu, pv = np.triu_indices(n, 1)
         pos = np.asarray(positive, dtype=bool).astype(np.float64)
-        return cls(n, pu, pv, pos, 1.0 - pos, complete=True)
+        return cls(n, pu, pv, pos, 1.0 - pos)
 
     @classmethod
     def from_channel_arrays(
@@ -185,8 +171,6 @@ class SignedGraph:
         n: int,
         pos_flat: np.ndarray,
         neg_flat: np.ndarray,
-        *,
-        parallel_ok: bool = False,
     ) -> "SignedGraph":
         """Build from flat per-pair channel weights in canonical order, dropping zero pairs."""
         pu, pv = np.triu_indices(n, 1)
@@ -195,9 +179,7 @@ class SignedGraph:
         if pos_flat.shape != pu.shape or neg_flat.shape != pu.shape:
             raise ContractViolation("channel arrays must cover all pairs")
         keep = (pos_flat > 0) | (neg_flat > 0)
-        return cls(
-            n, pu[keep], pv[keep], pos_flat[keep], neg_flat[keep], parallel_ok=parallel_ok
-        )
+        return cls(n, pu[keep], pv[keep], pos_flat[keep], neg_flat[keep])
 
     @classmethod
     def empty(cls, n: int) -> "SignedGraph":

@@ -10,8 +10,9 @@ The first line carries the vertex count and the number of edge lines.
 ``sign`` is ``+`` or ``-``; ``weight`` is a decimal and may be omitted
 (weight 1, the unweighted shorthand).  A second line consisting of the
 single token ``complete`` asserts that every pair is present, which is
-then validated.  Without the marker, completeness is inferred when all
-pairs appear.  A pair listed once per sign yields a parallel-edge graph.
+then validated.  With or without the marker, a graph is complete when
+every pair carries positive weight.  A pair listed once per sign yields a
+parallel pair.
 """
 
 from __future__ import annotations
@@ -48,12 +49,10 @@ def parse_edge_list(text: str) -> SignedGraph:
             raise ContractViolation(f"sign must be '+' or '-', got {sign_tok!r}")
         w = _number(parts[3], float, ln) if len(parts) == 4 else 1.0
         edges.append((u, v, 1 if sign_tok == "+" else -1, w))
-    pair_count = len({(min(u, v), max(u, v)) for u, v, _, _ in edges})
-    parallel = pair_count < len(edges)
-    complete = pair_count == n * (n - 1) // 2
-    if declared_complete and not complete:
-        raise ContractViolation("'complete' declared but some pairs are missing")
-    return SignedGraph.from_edges(n, edges, complete=complete, parallel_ok=parallel)
+    graph = SignedGraph.from_edges(n, edges)
+    if declared_complete and not graph.complete:
+        raise ContractViolation("'complete' declared but a pair is missing or weightless")
+    return graph
 
 
 def _number(tok: str, kind: type, line: str):

@@ -79,7 +79,7 @@ def release_weighted(
     for channel in net_channels(graph):
         noisy = laplace_release(WeightedChannel(n, channel), scale, rng).values
         out.append(np.where(noisy >= tau, noisy, 0.0))
-    released = SignedGraph.from_channel_arrays(n, *out, parallel_ok=True)
+    released = SignedGraph.from_channel_arrays(n, *out)
     audit = ReleaseOutput(
         mechanism=f"weighted-{engine}",
         epsilon=params.epsilon,

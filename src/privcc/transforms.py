@@ -191,4 +191,4 @@ def contract_coupled(graph: SignedGraph, mapping: np.ndarray) -> SignedGraph:
         if a == b:
             continue  # coupling edge
         edges.append((a, b, sign, w))
-    return SignedGraph.from_edges(n, edges, parallel_ok=True)
+    return SignedGraph.from_edges(n, edges)

@@ -1,4 +1,4 @@
-"""Discretized-noise variant of the unweighted release, for exact DP checks.
+"""Discretized-noise variants of the two Laplace releases, for exact DP checks.
 
 Test harness only.  Laplace noise is replaced by a two-sided geometric
 ("discrete Laplace") on the grid 1/64, i.e. P(k*h) ~ exp(-|k*h| / b).
@@ -13,6 +13,12 @@ whose distribution has closed-form point masses and tails (geometric
 series), so edge probabilities are exact to float precision; no
 truncation is involved.  The output distribution over the 2^pairs sign
 patterns is the product of per-edge Bernoullis.
+
+The weighted release keeps a noisy coordinate when it reaches the
+threshold and zeroes it otherwise.  On grid-valued input its output per
+coordinate is a grid point at or above the threshold, or 0 carrying all
+the mass below it; the coordinates are independent, so the worst log
+ratio over whole outputs is the sum of the per-coordinate worst ratios.
 """
 
 import numpy as np
@@ -77,3 +83,53 @@ def pattern_distribution(edge_signs: np.ndarray, epsilon: float) -> np.ndarray:
     # bit e of the pattern index (counting from the high end of the build
     # order) says whether pair e is positive
     return probs
+
+
+def _log_noise_pmf(k: np.ndarray, b: float, h: float = GRID) -> np.ndarray:
+    """log P(z = k*h) for one two-sided geometric."""
+    r = np.exp(-h / b)
+    return np.log((1 - r) / (1 + r)) - np.abs(k) * h / b
+
+
+def _log_noise_cdf(k: int, b: float, h: float = GRID) -> float:
+    """log P(z <= k*h) for one two-sided geometric."""
+    r = np.exp(-h / b)
+    if k < 0:
+        return float(-k * np.log(r) - np.log1p(r))
+    return float(np.log1p(-(r ** (k + 1)) / (1 + r)))
+
+
+def thresholded_log_pmf(
+    x: float, b: float, tau: float, top: int, h: float = GRID
+) -> np.ndarray:
+    """Log output distribution of one weighted-release coordinate.
+
+    The coordinate releases ``x + z`` when that reaches ``tau`` and 0
+    otherwise; ``x`` and ``tau > 0`` as in the mechanism, ``x`` on the grid.
+    Entry 0 is the lumped mass at 0; entry i >= 1 is the output
+    ``(j0 + i - 1) * h`` for ``j0 = ceil(tau / h)``, up to ``top * h``.
+    """
+    kx = int(round(x / h))
+    j0 = int(np.ceil(tau / h))
+    js = np.arange(j0, max(top, j0) + 1)
+    return np.concatenate([[_log_noise_cdf(j0 - 1 - kx, b, h)], _log_noise_pmf(js - kx, b, h)])
+
+
+def thresholded_worst_log_ratio(
+    xs: np.ndarray, ys: np.ndarray, b: float, tau: float, h: float = GRID
+) -> float:
+    """Exact max over outputs of |log P(out | xs) - log P(out | ys)|.
+
+    ``xs`` and ``ys`` are the grid-valued coordinates two inputs feed the
+    noise.  Above ``max(x, y)`` every output has the same ratio, so grid
+    points up to one step past it cover every value the ratio takes.
+    """
+    fwd = back = 0.0
+    for x, y in zip(xs, ys):
+        if x == y:
+            continue
+        top = int(round(max(x, y) / h)) + 1
+        lr = thresholded_log_pmf(x, b, tau, top, h) - thresholded_log_pmf(y, b, tau, top, h)
+        fwd += float(lr.max())
+        back += float(-lr.min())
+    return max(fwd, back)

@@ -28,11 +28,11 @@ def random_graph(
         both = rng.random(m) < 0.4
         pos = np.where(rng.random(m) < 0.5, w, 0.0)
         neg = np.where(pos > 0, np.where(both, w2, 0.0), w)
-        return SignedGraph(n, pu, pv, pos, neg, parallel_ok=True)
+        return SignedGraph(n, pu, pv, pos, neg)
     positive = rng.random(m) < 0.5
     pos = np.where(positive, w, 0.0)
     neg = np.where(positive, 0.0, w)
-    return SignedGraph(n, pu, pv, pos, neg, complete=complete)
+    return SignedGraph(n, pu, pv, pos, neg)
 
 
 def random_clustering(rng, n, kmax=None):

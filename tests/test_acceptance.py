@@ -130,13 +130,13 @@ def test_criterion_03_exact_dp_of_exponential_mechanism():
     worst = 0.0
     for inst in range(50):
         pos = (rng.random(10) < 0.5).astype(np.float64)
-        base = SignedGraph(5, pu, pv, pos, 1.0 - pos, complete=True)
+        base = SignedGraph(5, pu, pv, pos, 1.0 - pos)
         for eps in (0.1, 1.0, 5.0):
             dist = exact_output_distribution(base, PrivacyParams(eps))
             for e in range(10):
                 flipped = pos.copy()
                 flipped[e] = 1.0 - flipped[e]
-                other = SignedGraph(5, pu, pv, flipped, 1.0 - flipped, complete=True)
+                other = SignedGraph(5, pu, pv, flipped, 1.0 - flipped)
                 dist2 = exact_output_distribution(other, PrivacyParams(eps))
                 for key, p in dist.items():
                     gap = abs(math.log(p) - math.log(dist2[key]))

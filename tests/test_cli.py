@@ -2,9 +2,12 @@ import json
 
 import pytest
 
+from privcc import WeightedChannel
+from privcc._rng import make_rng
 from privcc.cli import main
 from privcc.experiments import PipelineConfig
 from privcc.io import read_edge_list
+from privcc.release_weighted import net_channels, sampled_cut_distance
 
 
 def run(args):
@@ -72,6 +75,28 @@ def test_audit_cuts_compares_net_canonical_channels(tmp_path):
     assert report["cut_distance_minus"] == 0.0
 
 
+def test_audit_cuts_audits_the_release_privcc_release_writes(tmp_path):
+    g_path = tmp_path / "w.txt"
+    run(["generate", "--kind", "weighted-random", "--n", "12",
+         "--weight-dist", "uniform", "--density", "0.5", "--seed", "2",
+         "--output", g_path])
+    budget = ["--epsilon", "0.5", "--delta", "0.01", "--seed", "4"]
+    h_path = tmp_path / "h.txt"
+    assert run(["release", "--input", g_path, "--mechanism", "weighted-laplace",
+                *budget, "--output", h_path, "--audit", tmp_path / "a.json"]) == 0
+    out = tmp_path / "cuts.json"
+    assert run(["audit-cuts", "--input", g_path, *budget, "--samples", "32",
+                "--output", out]) == 0
+    report = json.loads(out.read_text())
+    g, h = read_edge_list(g_path), read_edge_list(h_path)
+    for sign, name, channel in zip((1, -1), ("plus", "minus"), net_channels(g)):
+        want = sampled_cut_distance(
+            WeightedChannel(g.n, channel), WeightedChannel(g.n, h.channel_flat(sign)),
+            32, make_rng(4, "audit-cuts", name),
+        )
+        assert report[f"cut_distance_{name}"] == want
+
+
 def test_audit_cuts_refuses_unknown_engine(tmp_path):
     g_path = tmp_path / "g.txt"
     g_path.write_text("3 2\n0 1 + 2\n1 2 - 1\n")
@@ -102,6 +127,13 @@ def test_pipeline_engine_switch_is_recorded(capsys, mechanism, instance):
     row = json.loads(capsys.readouterr().out)
     assert row["mechanism"] == f"{mechanism}+zero-noise"
     assert row["eta_hat"] == 0.0
+
+
+def test_all_pairs_unit_weighted_instance_runs_unweighted(capsys):
+    # every pair at weight 1: in the unweighted mechanism's domain, in memory as from a file
+    assert run(["pipeline", "--kind", "weighted-random", "--density", "1.0",
+                "--weight-dist", "unit", "--n", "15", "--seed", "1"]) == 0
+    assert "unweighted-laplace" in capsys.readouterr().out
 
 
 def test_release_unweighted_zero_noise_engine(tmp_path):
@@ -171,6 +203,18 @@ def test_matrix_refuses_unknown_keys(tmp_path, capsys, where, key, target):
     cfg_path.write_text(json.dumps(cfg))
     assert run(["matrix", "--config", cfg_path, "--output", tmp_path / "r.csv"]) == 2
     assert f"unknown {where} keys: {key}" in capsys.readouterr().err
+
+
+def test_matrix_refuses_a_solver_seed(tmp_path, capsys):
+    cfg = {
+        "instances": [{"kind": "planted", "n": 8, "clusters": 2, "seed": 1}],
+        "epsilons": [1.0],
+        "pipelines": [{"mechanism": "unweighted-laplace", "solver": {"seed": 3}}],
+    }
+    cfg_path = tmp_path / "matrix.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(["matrix", "--config", cfg_path, "--output", tmp_path / "r.csv"]) == 2
+    assert "cell seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])

@@ -157,6 +157,23 @@ class TestPipeline:
         assert all(t >= 0 for t in stages)
         assert sum(stages) <= rec.wall_ms * (1 + 1e-12)  # float rounding only
 
+    def test_all_pairs_unit_graph_is_in_the_unweighted_domain(self):
+        # a weighted-random instance that carries every pair at weight 1 is a
+        # complete unweighted graph, however it was built
+        spec = InstanceSpec(kind="weighted-random", n=15, density=1.0, seed=1)
+        g, _ = generate_instance(spec)
+        assert g.complete and g.is_unweighted
+        _, audit = release_stage(
+            g, PrivacyParams(1.0), PipelineConfig(merge=MergeConfig(iterations=20)), 2
+        )
+        assert audit.mechanism == "unweighted-laplace-merge-round"
+
+    def test_solver_seed_is_the_cell_seed(self):
+        # the pipeline solves with its own seed, so a solver seed would be ignored
+        with pytest.raises(ContractViolation, match="cell seed"):
+            PipelineConfig(solver=SolverConfig(seed=3))
+        assert PipelineConfig(solver=SolverConfig(seed=0, restarts=2)).solver.restarts == 2
+
     def test_engine_is_the_noise_switch(self):
         assert PipelineConfig(engine="zero-noise-test").zero_noise
         assert not PipelineConfig().zero_noise
@@ -207,8 +224,7 @@ class CountingGraph(SignedGraph):
 
     def __init__(self, base: SignedGraph):
         super().__init__(
-            base.n, base.pair_u, base.pair_v, base.pos_w, base.neg_w,
-            complete=base.complete, parallel_ok=base.parallel_ok,
+            base.n, base.pair_u, base.pair_v, base.pos_w, base.neg_w
         )
         object.__setattr__(self, "reads", 0)
 
@@ -308,7 +324,8 @@ class TestMatrix:
     def test_failures_surfaced_and_skipped(self, tmp_path, capsys):
         bad = dict(self.MATRIX)
         bad["instances"] = [
-            {"kind": "weighted-random", "n": 8, "seed": 1},  # wrong mechanism
+            {"kind": "weighted-random", "n": 8, "weight_dist": "exponential",
+             "seed": 1},  # wrong mechanism
             {"kind": "planted", "n": 10, "clusters": 2, "seed": 2},
         ]
         bad["epsilons"] = [1.0]

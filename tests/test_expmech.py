@@ -26,7 +26,7 @@ BELL7 = 877
 
 
 def single_positive_edge():
-    return SignedGraph.from_edges(2, [(0, 1, 1, 1.0)], complete=True)
+    return SignedGraph.from_edges(2, [(0, 1, 1, 1.0)])
 
 
 def test_two_vertex_ratio():
@@ -95,7 +95,7 @@ def test_exact_dp_neighbor_ratios():
         for e in range(pu.size):
             pos = g.pos_w.copy()
             pos[e] = 1.0 - pos[e]
-            flipped = SignedGraph(5, pu, pv, pos, 1.0 - pos, complete=True)
+            flipped = SignedGraph(5, pu, pv, pos, 1.0 - pos)
             dist2 = exact_output_distribution(flipped, PrivacyParams(eps))
             for key, p in dist.items():
                 assert abs(math.log(p) - math.log(dist2[key])) <= eps + 1e-9
@@ -121,7 +121,7 @@ def test_exact_dp_weighted_parallel_neighbor_ratios():
                     pos[f] += shift
                 else:
                     neg[f] -= shift
-            h = SignedGraph(5, g.pair_u, g.pair_v, pos, neg, parallel_ok=True)
+            h = SignedGraph(5, g.pair_u, g.pair_v, pos, neg)
             assert neighbor_distance(g, h) <= 2.0
             neighbors.append(h)
         dist = exact_output_distribution(g, PrivacyParams(eps))

@@ -23,7 +23,7 @@ from helpers import random_clustering, random_graph
 def triangle():
     # edges 01:+, 02:+, 12:-
     return SignedGraph.from_edges(
-        3, [(0, 1, 1, 1.0), (0, 2, 1, 1.0), (1, 2, -1, 1.0)], complete=True
+        3, [(0, 1, 1, 1.0), (0, 2, 1, 1.0), (1, 2, -1, 1.0)]
     )
 
 
@@ -43,7 +43,7 @@ class TestObjectives:
     def test_all_singletons_on_all_negative(self):
         n = 6
         pu, pv = np.triu_indices(n, 1)
-        g = SignedGraph(n, pu, pv, np.zeros(pu.size), np.ones(pu.size), complete=True)
+        g = SignedGraph(n, pu, pv, np.zeros(pu.size), np.ones(pu.size))
         assert agreement(Clustering.singletons(n), g) == g.total_weight
 
     def test_conservation_fuzz(self):
@@ -180,7 +180,7 @@ class TestNeighborDistance:
     def test_single_flip_is_two(self):
         g = triangle()
         flipped = SignedGraph.from_edges(
-            3, [(0, 1, -1, 1.0), (0, 2, 1, 1.0), (1, 2, -1, 1.0)], complete=True
+            3, [(0, 1, -1, 1.0), (0, 2, 1, 1.0), (1, 2, -1, 1.0)]
         )
         assert neighbor_distance(g, flipped) == 2.0
 
@@ -247,18 +247,37 @@ class TestTypes:
             SignedGraph.from_edges(2, [(0, 1, 1, -1.0)])
 
     def test_parallel_needs_flag(self):
-        with pytest.raises(ContractViolation):
-            SignedGraph.from_edges(2, [(0, 1, 1, 1.0), (0, 1, -1, 1.0)])
-        g = SignedGraph.from_edges(
-            2, [(0, 1, 1, 1.0), (0, 1, -1, 1.0)], parallel_ok=True
-        )
+        g = SignedGraph.from_edges(2, [(0, 1, 1, 1.0), (0, 1, -1, 1.0)])
         assert g.edge_count == 2
 
     def test_complete_requires_all_pairs(self):
         with pytest.raises(ContractViolation):
-            SignedGraph.from_edges(3, [(0, 1, 1, 1.0)], complete=True)
-        with pytest.raises(ContractViolation):
             SignedGraph.complete_unweighted(4, np.ones(5, dtype=bool))
+
+    def test_complete_follows_the_arrays(self):
+        # complete exactly when every pair carries positive weight, whichever
+        # constructor built the graph
+        rng = make_rng(108)
+        seen = set()
+        for _ in range(60):
+            n = int(rng.integers(2, 8))
+            m = n * (n - 1) // 2
+            pos = rng.integers(0, 3, m) * (rng.random(m) < 0.8)
+            neg = rng.integers(0, 3, m) * (rng.random(m) < 0.3)
+            want = bool(np.all(pos + neg > 0))
+            pu, pv = np.triu_indices(n, 1)
+            edges = [(u, v, 1, w) for u, v, w in zip(pu, pv, pos) if w > 0]
+            edges += [(u, v, -1, w) for u, v, w in zip(pu, pv, neg) if w > 0]
+            built = [
+                SignedGraph(n, pu, pv, pos, neg),
+                SignedGraph.from_edges(n, edges),
+                SignedGraph.from_channel_arrays(n, pos, neg),
+            ]
+            assert [g.complete for g in built] == [want] * 3
+            seen.add(want)
+        assert seen == {True, False}
+        assert SignedGraph.complete_unweighted(4, np.zeros(6, dtype=bool)).complete
+        assert not SignedGraph.empty(3).complete
 
     def test_complete_unweighted_flags_in_canonical_order(self):
         # pairs 01, 02, 03, 12, 13, 23

@@ -27,12 +27,20 @@ def test_weighted_lines():
 
 def test_parallel_pair():
     g = parse_edge_list("2 2\n0 1 + 1.0\n0 1 - 2.0\n")
-    assert g.parallel_ok and g.edge_count == 2
+    assert g.pair_u.size == 1 and g.edge_count == 2
+
+
+def test_zero_weight_pair_is_not_complete():
+    # every pair is listed, one at weight 0; without a marker the file claims nothing
+    g = parse_edge_list("3 3\n0 1 +\n0 2 - 0\n1 2 -\n")
+    assert not g.complete
+    with pytest.raises(ContractViolation):
+        parse_edge_list("3 3\ncomplete\n0 1 +\n0 2 - 0\n1 2 -\n")
 
 
 def test_bad_inputs():
     for text in ["", "3\n", "2 1\n0 1 *\n", "2 2\n0 1 +\n", "2 1\n0 1 + x\n",
-                 "x 1\n0 1 +\n", "2 1\na 1 +\n"]:
+                 "x 1\n0 1 +\n", "2 1\na 1 +\n", "2 2\n0 1 + 0\n0 1 + 2\n"]:
         with pytest.raises(ContractViolation):
             parse_edge_list(text)
 

@@ -16,6 +16,7 @@ from privcc._rng import make_rng
 from privcc.release_unweighted import laplace_release, release_unweighted
 from privcc.release_weighted import release_weighted, sampled_cut_distance
 
+import dp_harness
 from helpers import random_clustering, random_graph
 
 
@@ -56,7 +57,7 @@ def reference_release_weighted(graph, params, engine, rng, seed=None):
         noisy = channel + rng.laplace(0.0, scale, size=channel.size)
         tau = scale * math.log(max(graph.n, 2))
         out.append(np.where(noisy >= tau, noisy, 0.0))
-    released = SignedGraph.from_channel_arrays(graph.n, *out, parallel_ok=True)
+    released = SignedGraph.from_channel_arrays(graph.n, *out)
     audit = ReleaseOutput(
         mechanism=f"weighted-{engine}",
         epsilon=params.epsilon,
@@ -81,7 +82,6 @@ class TestEngines:
         rng = make_rng(72)
         g = random_graph(rng, 8, weighted=True, density=0.6)
         h, _ = release_weighted(g, PrivacyParams(0.4, 0.1), "zero-noise-test", rng)
-        assert h.parallel_ok
         assert not np.any((h.pos_w > 0) & (h.neg_w > 0))
 
     def test_laplace_outputs_nonnegative_and_signed(self):
@@ -139,13 +139,68 @@ class TestEngines:
         assert np.any((g.pos_w > 0) & (g.neg_w > 0))
         net = g.channel_flat(1) - g.channel_flat(-1)
         canon = SignedGraph.from_channel_arrays(
-            g.n, np.maximum(net, 0.0), np.maximum(-net, 0.0), parallel_ok=True
+            g.n, np.maximum(net, 0.0), np.maximum(-net, 0.0)
         )
         params = PrivacyParams(1.0)
         h, _ = release_weighted(g, params, engine, make_rng(87))
         h_canon, _ = release_weighted(canon, params, engine, make_rng(87))
         for sign in (1, -1):
             assert h.channel_flat(sign).tobytes() == h_canon.channel_flat(sign).tobytes()
+
+
+class TestExactDP:
+    def test_canonical_route_exact_dp_on_grid(self):
+        # grid-valued weighted input with parallel pairs, discrete noise on
+        # the same grid; neighbours at neighbor_distance <= 2 add +c to both
+        # channels of one pair and move net weight on up to two pairs
+        rng = make_rng(88)
+        n, grid = 5, 64
+        m = n * (n - 1) // 2
+        for eps in (0.5, 1.0, 3.0):
+            params = PrivacyParams(eps)
+            worst_seen = 0.0
+            for _ in range(8):
+                pos = np.where(rng.random(m) < 0.6, rng.integers(1, 3 * grid, m), 0) / grid
+                neg = np.where(rng.random(m) < 0.6, rng.integers(1, 3 * grid, m), 0) / grid
+                g = SignedGraph.from_channel_arrays(n, pos, neg)
+                assert np.any((g.pos_w > 0) & (g.neg_w > 0))
+                _, audit = release_weighted(g, params, "laplace", make_rng(89))
+                b = audit.noise_scale
+                tau = b * math.log(n)
+                neighbors = []
+                for trial in range(12):
+                    p, q = pos.copy(), neg.copy()
+                    e = int(rng.integers(m))
+                    common = rng.integers(0, 4 * grid) / grid
+                    p[e] += common
+                    q[e] += common
+                    if trial == 0:  # one pair's net weight moves by the full 2
+                        moves = [(e, -2.0)]
+                    else:
+                        pairs = rng.choice(m, 2, replace=False)
+                        moves = zip(pairs, rng.integers(-grid, grid + 1, 2) / grid)
+                    for f, shift in moves:
+                        if shift > 0:
+                            p[f] += shift
+                        else:
+                            q[f] -= shift
+                    h = SignedGraph.from_channel_arrays(n, p, q)
+                    assert neighbor_distance(g, h) <= 2.0
+                    neighbors.append(h)
+                # the zero-noise engine returns exactly what the noise is added to
+                xs = _noised_coordinates(g, params)
+                for h in neighbors:
+                    ys = _noised_coordinates(h, params)
+                    worst = dp_harness.thresholded_worst_log_ratio(xs, ys, b, tau)
+                    assert worst <= eps + 1e-9
+                    worst_seen = max(worst_seen, worst)
+            # at 2 / (eps/2) per channel a distance-2 neighbour spends eps / 2
+            assert worst_seen == pytest.approx(eps / 2, rel=1e-9)
+
+
+def _noised_coordinates(graph, params):
+    h, _ = release_weighted(graph, params, "zero-noise-test", make_rng(90))
+    return np.concatenate([h.channel_flat(1), h.channel_flat(-1)])
 
 
 class TestCutDistance:

@@ -33,7 +33,7 @@ BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 def complete_from_signs(n, positive_pairs):
     pu, pv = np.triu_indices(n, 1)
     pos = np.array([(u, v) in positive_pairs for u, v in zip(pu, pv)], dtype=float)
-    return SignedGraph(n, pu, pv, pos, 1.0 - pos, complete=True)
+    return SignedGraph(n, pu, pv, pos, 1.0 - pos)
 
 
 class TestEnumeration:
@@ -59,14 +59,14 @@ class TestEnumeration:
 class TestExact:
     def test_triangle(self):
         g = SignedGraph.from_edges(
-            3, [(0, 1, 1, 1.0), (0, 2, 1, 1.0), (1, 2, -1, 1.0)], complete=True
+            3, [(0, 1, 1, 1.0), (0, 2, 1, 1.0), (1, 2, -1, 1.0)]
         )
         c = solve_exact(g)
         assert disagreement(c, g) == 1.0
 
     def test_all_positive_single_cluster(self):
         pu, pv = np.triu_indices(6, 1)
-        g = SignedGraph(6, pu, pv, np.ones(pu.size), np.zeros(pu.size), complete=True)
+        g = SignedGraph(6, pu, pv, np.ones(pu.size), np.zeros(pu.size))
         c = solve_exact(g)
         assert c.k == 1 and disagreement(c, g) == 0.0
 
@@ -101,14 +101,14 @@ class TestExact:
 class TestPivot:
     def test_all_negative_gives_singletons(self):
         pu, pv = np.triu_indices(7, 1)
-        g = SignedGraph(7, pu, pv, np.zeros(pu.size), np.ones(pu.size), complete=True)
+        g = SignedGraph(7, pu, pv, np.zeros(pu.size), np.ones(pu.size))
         for seed in range(5):
             c = pivot_kwikcluster(g, make_rng(seed))
             assert c.k == 7 and disagreement(c, g) == 0.0
 
     def test_all_positive_gives_one_cluster(self):
         pu, pv = np.triu_indices(7, 1)
-        g = SignedGraph(7, pu, pv, np.ones(pu.size), np.zeros(pu.size), complete=True)
+        g = SignedGraph(7, pu, pv, np.ones(pu.size), np.zeros(pu.size))
         for seed in range(5):
             assert pivot_kwikcluster(g, make_rng(seed)).k == 1
 
@@ -124,7 +124,7 @@ class TestPivot:
     def test_net_weight_sign_rule(self):
         # parallel pair with net weight 0 counts as negative: stays split
         g = SignedGraph.from_edges(
-            2, [(0, 1, 1, 1.0), (0, 1, -1, 1.0)], parallel_ok=True
+            2, [(0, 1, 1, 1.0), (0, 1, -1, 1.0)]
         )
         assert pivot_kwikcluster(g, make_rng(0)).k == 2
 
@@ -158,7 +158,7 @@ class TestLocalSearch:
     def test_all_negative_splits_to_singletons_or_the_cap(self):
         n = 30
         pu, pv = np.triu_indices(n, 1)
-        g = SignedGraph(n, pu, pv, np.zeros(pu.size), np.ones(pu.size), complete=True)
+        g = SignedGraph(n, pu, pv, np.zeros(pu.size), np.ones(pu.size))
         start = Clustering.one_cluster(n)
         assert local_search(g, start).k == n
         assert local_search(g, start, SolverConfig(max_clusters=5)).k == 5
@@ -188,7 +188,7 @@ class TestLocalSearch:
             "from privcc import Clustering, SignedGraph, solvers\n"
             "w = np.array([-4., 1, 2, -1, 3, 2, -3, -4, -1, 3])\n"
             "pu, pv = np.triu_indices(5, 1)\n"
-            "g = SignedGraph(5, pu, pv, np.maximum(w, 0), np.maximum(-w, 0), complete=True)\n"
+            "g = SignedGraph(5, pu, pv, np.maximum(w, 0), np.maximum(-w, 0))\n"
             "calls = iter(range(100))\n"
             "solvers.disagreement = lambda c, graph: float(next(calls))\n"
             "solvers.local_search(g, Clustering.one_cluster(5))\n"
