@@ -130,7 +130,9 @@ class SignedGraph:
         """Build from ``(u, v, sign, weight)`` tuples, sign in {+1, -1}.
 
         A repeated (pair, sign) entry is rejected, whatever its weights; a
-        pair listed once with each sign becomes a parallel pair.
+        pair listed once with each sign becomes a parallel pair.  A pair
+        whose listed weights are all 0 is dropped, as in
+        :meth:`from_channel_arrays`.
         """
         acc: dict[tuple[int, int], list[float | None]] = {}
         for u, v, sign, w in edges:
@@ -146,7 +148,7 @@ class SignedGraph:
             if slot[idx] is not None:
                 raise ContractViolation(f"duplicate edge {(u, v)} with sign {sign}")
             slot[idx] = float(w)
-        keys = sorted(acc)
+        keys = sorted(k for k, listed in acc.items() if any(listed))
         pu = np.array([k[0] for k in keys], dtype=np.int64)
         pv = np.array([k[1] for k in keys], dtype=np.int64)
         pw = np.array([acc[k][0] or 0.0 for k in keys], dtype=np.float64)

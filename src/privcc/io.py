@@ -12,7 +12,7 @@ The first line carries the vertex count and the number of edge lines.
 single token ``complete`` asserts that every pair is present, which is
 then validated.  With or without the marker, a graph is complete when
 every pair carries positive weight.  A pair listed once per sign yields a
-parallel pair.
+parallel pair; a pair whose listed weights are all 0 is dropped.
 """
 
 from __future__ import annotations

@@ -64,12 +64,14 @@ def release_weighted(
     rng: np.random.Generator,
     seed: int | None = None,
 ) -> tuple[SignedGraph, ReleaseOutput]:
-    """(eps, delta)-DP release of a weighted signed graph.
+    """eps-DP release of a weighted signed graph.
 
     Each net-canonical channel gets Lap(``CHANNEL_SENSITIVITY / (eps/2)``)
     per pair under ``engine`` (one of :data:`~privcc.graphs.ENGINES`), plus
     channel first; weights below ``scale * ln(max(n, 2))`` are zeroed.  The
     outputs recombine with their signs, possibly giving parallel pairs.
+    The route is pure Laplace, so the audit records delta 0 whatever
+    ``params.delta`` asks for.
     """
     half = params.split(2)
     scale = laplace_scale(engine, CHANNEL_SENSITIVITY, half.epsilon)
@@ -83,7 +85,7 @@ def release_weighted(
     audit = ReleaseOutput(
         mechanism=f"weighted-{engine}",
         epsilon=params.epsilon,
-        delta=params.delta,
+        delta=0.0,  # pure Laplace: a requested delta is not spent
         noise_scale=scale,
         channel_budgets=(half.epsilon, half.epsilon),
         seed=seed,

@@ -166,6 +166,31 @@ def pivot_kwikcluster(graph: SignedGraph, rng: np.random.Generator) -> Clusterin
 # Local search
 
 
+def _gains(
+    margins: np.ndarray,
+    labels: np.ndarray,
+    sizes: np.ndarray,
+    empty: np.ndarray,
+    spare: int | None,
+) -> np.ndarray:
+    """Objective change of moving each row's vertex to each column.
+
+    The ``empty`` columns (clusters without members) are barred (inf),
+    except ``spare``, the first of them (None once no new cluster may
+    open), which stands for a new singleton and is open to every vertex
+    that is not alone.  A vertex's own column is barred too.
+    """
+    rows = np.arange(labels.size)
+    current = margins[rows, labels]
+    delta = margins - current[:, None]
+    delta[:, empty] = np.inf
+    if spare is not None:
+        movable = sizes[labels] > 1
+        delta[movable, spare] = -current[movable]
+    delta[rows, labels] = np.inf
+    return delta
+
+
 def local_search(
     graph: SignedGraph, start: Clustering, cfg: SolverConfig | None = None
 ) -> Clustering:
@@ -179,9 +204,19 @@ def local_search(
 
     The margin matrix holds one column per cluster id in use plus one
     empty column, and grows (doubling) only when a move fills its last
-    column, so each move costs O(n*k) for k clusters, not O(n^2).  The
+    column, so a full pass costs O(n*k) for k clusters, not O(n^2).  The
     columns it leaves out are empty and never the first empty one, so
     the moves, and their tie-breaks, are those of an n-column matrix.
+
+    A move of v changes the margins only in the rows of v's neighbours
+    (nonzero net weight), so the search keeps each vertex's best move and
+    rescores, at O(deg(v)*k), only v, its neighbours, and the vertices
+    whose cluster the move shrank to one member or grew to two (they
+    lose or gain the new-singleton move).  It falls back to the full
+    O(n*k) pass after a move that opens or closes a cluster, which shifts
+    the columns of every row, and after a move of a vertex with more
+    than n/2 neighbours; on a complete graph every move is of that kind.
+    Both passes compute the same gains, so the moves are identical.
     """
     cfg = cfg or SolverConfig()
     if start.n != graph.n:
@@ -192,6 +227,8 @@ def local_search(
         raise ContractViolation(f"start has {start.k} clusters, limit is {kmax}")
     # margin[v, c] = cost of v sitting in cluster c, up to a per-vertex constant
     comargin = -_net_matrix(graph)
+    # vertices whose moves touch most rows; a full pass is as cheap for them
+    hub = (2 * np.count_nonzero(comargin, axis=1) > n).tolist()
 
     rows = np.arange(n)
     labels = start.assignment.astype(np.int64).copy()
@@ -205,30 +242,54 @@ def local_search(
     moves_budget = _MAX_PASSES * n
     best_err = disagreement(Clustering(labels), graph)
     moves_done = 0
+    # rows whose gains the last move changed; None asks for a full pass
+    redo: np.ndarray | None = None
+    gains = best = arg = None
     while moves_done < moves_budget:
-        current = margins[rows, labels]
-        delta = margins - current[:, None]
-        # occupied columns only, except one spare column acting as "new cluster"
-        occupied = sizes > 0
-        nonempty = int(occupied.sum())
-        spare = np.flatnonzero(~occupied)
-        delta[:, ~occupied] = np.inf
-        if nonempty < kmax and spare.size:
-            # moving a non-singleton vertex out into an empty column
-            movable = sizes[labels] > 1
-            delta[movable, spare[0]] = -current[movable]
-        delta[rows, labels] = np.inf
-        flat = int(np.argmin(delta))
-        v, target = divmod(flat, delta.shape[1])
-        gain = delta[v, target]
+        if redo is None:
+            # occupied columns only, except one spare column acting as "new
+            # cluster"; moves between the full passes leave both unchanged
+            empty = np.flatnonzero(sizes == 0)
+            spare = int(empty[0]) if sizes.size - empty.size < kmax and empty.size else None
+            gains = _gains(margins, labels, sizes, empty, spare)
+            v, target = divmod(int(np.argmin(gains)), gains.shape[1])
+            gain = gains[v, target]
+            best = None
+        else:
+            if best is None:
+                # rows the last move left alone keep their gains from the full pass
+                arg = gains.argmin(axis=1)
+                best = gains[rows, arg]
+                gains = None
+            part = _gains(margins[redo], labels[redo], sizes, empty, spare)
+            cols = part.argmin(axis=1)
+            arg[redo] = cols
+            best[redo] = part[np.arange(redo.size), cols]
+            v = int(np.argmin(best))
+            target = int(arg[v])
+            gain = best[v]
         if not (gain < -tol):
             break
         old = labels[v]
         labels[v] = target
-        margins[:, old] -= comargin[:, v]
-        margins[:, target] += comargin[:, v]
+        # comargin is symmetric, and its row v is contiguous
+        margins[:, old] -= comargin[v]
+        margins[:, target] += comargin[v]
         sizes[old] -= 1
         sizes[target] += 1
+        if hub[v] or sizes[old] == 0 or sizes[target] == 1:
+            # a hub moved, or a cluster opened or closed, which moves the
+            # barred and spare columns of every row
+            redo = None
+        else:
+            touched = comargin[v] != 0
+            touched[v] = True
+            # members of a cluster now of one or two lose or gain the new-singleton move
+            if sizes[old] == 1:
+                touched |= labels == old
+            if sizes[target] == 2:
+                touched |= labels == target
+            redo = np.flatnonzero(touched)
         if sizes[-1] > 0 and sizes.size < full:
             # keep an empty column in reach: the next "new cluster" target
             grow = min(sizes.size, full - sizes.size)

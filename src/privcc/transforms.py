@@ -128,16 +128,18 @@ def split_transform(graph: SignedGraph) -> tuple[SignedGraph, np.ndarray]:
     """
     n = graph.n
     coupling = 1.0 + graph.total_weight
-    edges: list[tuple[int, int, int, float]] = []
-    for v in range(n):
-        edges.append((v, n + v, 1, coupling))
-    for u, v, sign, w in graph.iter_edges():
-        if sign == 1:
-            edges.append((u, v, 1, w))
-        else:
-            edges.append((n + u, n + v, -1, w))
-    mapping = np.column_stack([np.arange(n), np.arange(n) + n])
-    return SignedGraph.from_edges(2 * n, edges), mapping
+    copies = np.arange(n)
+    pos = graph.pos_w > 0
+    neg = graph.neg_w > 0
+    u = np.concatenate([copies, graph.pair_u[pos], n + graph.pair_u[neg]])
+    v = np.concatenate([n + copies, graph.pair_v[pos], n + graph.pair_v[neg]])
+    pos_w = np.concatenate([np.full(n, coupling), graph.pos_w[pos], np.zeros(neg.sum())])
+    neg_w = np.concatenate([np.zeros(n + pos.sum()), graph.neg_w[neg]])
+    # coupling, plus-copy and minus-copy pairs never coincide: the keys are unique
+    order = np.argsort(u * (2 * n) + v)
+    mapping = np.column_stack([copies, copies + n])
+    split = SignedGraph(2 * n, u[order], v[order], pos_w[order], neg_w[order])
+    return split, mapping
 
 
 def unsplit(clustering: Clustering, mapping: np.ndarray) -> Clustering:

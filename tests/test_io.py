@@ -38,6 +38,13 @@ def test_zero_weight_pair_is_not_complete():
         parse_edge_list("3 3\ncomplete\n0 1 +\n0 2 - 0\n1 2 -\n")
 
 
+def test_zero_weight_pair_is_dropped():
+    g = parse_edge_list("3 3\n0 1 +\n0 2 - 0\n1 2 -\n")
+    assert g.pair_u.size == g.edge_count == 2
+    assert g.is_unweighted
+    assert format_edge_list(g) == "3 2\n0 1 +\n1 2 -\n"
+
+
 def test_bad_inputs():
     for text in ["", "3\n", "2 1\n0 1 *\n", "2 2\n0 1 +\n", "2 1\n0 1 + x\n",
                  "x 1\n0 1 +\n", "2 1\na 1 +\n", "2 2\n0 1 + 0\n0 1 + 2\n"]:

@@ -61,7 +61,7 @@ def reference_release_weighted(graph, params, engine, rng, seed=None):
     audit = ReleaseOutput(
         mechanism=f"weighted-{engine}",
         epsilon=params.epsilon,
-        delta=params.delta,
+        delta=0.0,
         noise_scale=scale,
         channel_budgets=(half, half),
         seed=seed,
@@ -122,6 +122,13 @@ class TestEngines:
                 assert h.channel_flat(sign).tobytes() == want.channel_flat(sign).tobytes()
             assert audit.audit_dict() == want_audit.audit_dict()
             assert rng.random() == ref_rng.random()  # both drew the same count
+
+    def test_audit_records_no_unspent_delta(self):
+        # pure Laplace spends no delta, whatever the budget offers
+        g = random_graph(make_rng(77), 8, weighted=True, density=0.5)
+        _, audit = release_weighted(g, PrivacyParams(0.5, 0.1), "laplace", make_rng(78))
+        assert audit.delta == 0.0
+        assert audit.epsilon == 0.5
 
     @pytest.mark.parametrize("route", ["weighted", "unweighted"])
     def test_unknown_engine_refused(self, route):

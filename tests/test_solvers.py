@@ -180,6 +180,34 @@ class TestLocalSearch:
                     expected = full_width_local_search(g, capped, cfg)
                     assert local_search(g, capped, cfg) == expected
 
+    def test_sparse_graphs_match_full_width_reference(self):
+        # sparse graphs take the rescore-the-neighbours path; the hub
+        # graphs switch between it and the full pass within one call.
+        # Integer weights make tied gains, so tie-breaks are checked too.
+        # Weights on a 1/64 grid keep every margin exact, so the reference's
+        # wider margin product cannot differ from the search's in the last bit.
+        rng = make_rng(19)
+        for trial in range(16):
+            n = int(rng.integers(13, 121))
+            density = float(rng.uniform(0.03, 0.3))
+            g = random_graph(rng, n, weighted=True, parallel=True, density=density,
+                             integer_weights=bool(trial % 2))
+            if trial % 2 == 0:
+                g = on_grid(g, 64)
+            if trial % 4 >= 2:
+                g = with_hub(rng, g)
+            starts = [
+                pivot_kwikcluster(g, rng),
+                Clustering(np.arange(n)),
+                Clustering(rng.integers(0, int(rng.integers(1, n + 1)), size=n)),
+            ]
+            for start in starts:
+                for kmax in (None, 2, 3, start.k):
+                    capped = start if kmax is None else cap_clusters(start, kmax)
+                    cfg = SolverConfig(max_clusters=kmax)
+                    expected = full_width_local_search(g, capped, cfg)
+                    assert local_search(g, capped, cfg) == expected
+
     def test_invariant_checks_survive_optimize(self):
         # five vertices that need five moves from one cluster, so the
         # monotonicity check runs once; a rising objective must trip it
@@ -199,6 +227,24 @@ class TestLocalSearch:
                               capture_output=True, text=True)
         assert proc.returncode != 0
         assert "AssertionError: local search must be monotone" in proc.stderr
+
+
+def on_grid(graph, steps):
+    """``graph`` with every weight rounded to a multiple of ``1 / steps``."""
+    pos, neg = (np.round(graph.channel_flat(s) * steps) / steps for s in (1, -1))
+    return SignedGraph.from_channel_arrays(graph.n, pos, neg)
+
+
+def with_hub(rng, graph):
+    """``graph`` with vertex 0 tied to every other vertex by a signed integer weight."""
+    n = graph.n
+    pos, neg = graph.channel_flat(1), graph.channel_flat(-1)
+    # pairs (0, v) come first in canonical order
+    w = rng.integers(1, 4, size=n - 1).astype(float)
+    plus = rng.random(n - 1) < 0.5
+    pos[: n - 1] = np.where(plus, w, 0.0)
+    neg[: n - 1] = np.where(plus, 0.0, w)
+    return SignedGraph.from_channel_arrays(n, pos, neg)
 
 
 def full_width_local_search(graph, start, cfg):

@@ -118,6 +118,26 @@ class TestSplit:
         meta = random_clustering(rng, 5)
         assert disagreement(lift(meta), hp) <= g.total_weight < coupling
 
+    def test_matches_edge_list_construction(self):
+        # the split graph built edge by edge, as a reference for the array build
+        rng = make_rng(36)
+        graphs = [SignedGraph.empty(4)]
+        for trial in range(30):
+            n = int(rng.integers(2, 40))
+            graphs.append(random_graph(rng, n, weighted=bool(trial % 3),
+                                       parallel=bool(trial % 2),
+                                       density=float(rng.uniform(0.05, 1.0))))
+        for g in graphs:
+            n = g.n
+            edges = [(v, n + v, 1, 1.0 + g.total_weight) for v in range(n)]
+            for u, v, sign, w in g.iter_edges():
+                edges.append((u, v, 1, w) if sign == 1 else (n + u, n + v, -1, w))
+            want = SignedGraph.from_edges(2 * n, edges)
+            hp, mapping = split_transform(g)
+            for name in ("pair_u", "pair_v", "pos_w", "neg_w"):
+                assert getattr(hp, name).tobytes() == getattr(want, name).tobytes()
+            assert mapping.tolist() == [[v, n + v] for v in range(n)]
+
 
 class TestUnsplit:
     def test_idempotence(self):
