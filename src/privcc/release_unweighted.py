@@ -37,6 +37,12 @@ cut shares with the stepped one (:meth:`CutRows.shared_pairs`, three
 thin products instead of one with an n-by-n matrix).  The sums are
 recomputed in full after a step the clamp cut short, after a pair step,
 and every ``_RESYNC`` iterations, which bounds float drift.
+
+The audit family is summed ``_AUDIT_BLOCK`` rows at a time, one
+:class:`CutRows` per block, so its float masks and products take
+O(block * n) memory instead of O(rows * n) for its 8n rows.  A row's
+cut sums are the same row products as in one whole-family ``CutRows``,
+so the audited ``lambda`` is too.
 """
 
 from __future__ import annotations
@@ -66,6 +72,7 @@ __all__ = [
 
 _PATIENCE = 300  # merge solver stops after this many non-improving iterations
 _RESYNC = 50  # cut sums are recomputed exactly at least this often
+_AUDIT_BLOCK = 256  # audit rows per CutRows, which bounds the audit's float masks
 CHANNEL_SENSITIVITY = 1.0  # flipping one edge moves each 0/1 channel by 1
 
 
@@ -133,10 +140,19 @@ def _sample_set_pairs(n: int, budget: int, rng: np.random.Generator):
             z = rng.integers(0, 3, size=n)
             s_rows[i] = z == 0
             t_rows[i] = z == 1
-    for i in range(budget, 2 * budget):
-        s_rows[i] = rng.random(n) < 0.5
-        t_rows[i] = ~s_rows[i]
+    # one call draws the same doubles, row by row, as one rng.random(n) per row
+    s_rows[budget:] = rng.random((budget, n)) < 0.5
+    t_rows[budget:] = ~s_rows[budget:]
     return s_rows, t_rows
+
+
+def _blocked_sums(s_rows, t_rows, matrices):
+    """Cut sums of each matrix, then the cut sizes, over ``_AUDIT_BLOCK`` rows at a time."""
+    parts = []
+    for a in range(0, s_rows.shape[0], _AUDIT_BLOCK):
+        block = CutRows(s_rows[a : a + _AUDIT_BLOCK], t_rows[a : a + _AUDIT_BLOCK])
+        parts.append([block.sums(m) for m in matrices] + [block.sizes])
+    return [np.concatenate(column) for column in zip(*parts)]
 
 
 def _max_violation(xp, wp, wm, cs, sizes, tp, tm):
@@ -193,6 +209,12 @@ def solve_merge_lp(
     wp_mat = wplus.matrix()
     wm_mat = wminus.matrix()
     iu, iv = np.triu_indices(n, 1)
+    x_mat = np.zeros((n, n))  # the one dense matrix of x, rewritten in place
+
+    def x_matrix(values):
+        x_mat[iu, iv] = values
+        x_mat[iv, iu] = values
+        return x_mat
 
     x = np.clip((wp + 1.0 - wm) / 2.0, 0.0, 1.0)
     iterations_run = 0
@@ -201,7 +223,7 @@ def solve_merge_lp(
     if strategy == "sampled-lp":
         rows = CutRows(*_sample_set_pairs(n, constraint_budget, rng))
         tp, tm = rows.sums(wp_mat), rows.sums(wm_mat)
-        cs = rows.sums(WeightedChannel(n, x).matrix())
+        cs = rows.sums(x_matrix(x))
         best_lam = np.inf
         best_x = x.copy()
         stale = 0
@@ -236,18 +258,18 @@ def solve_merge_lp(
                 if not full:
                     cs -= shift * rows.shared_pairs(idx)
             if full or t % _RESYNC == 0:
-                cs = rows.sums(WeightedChannel(n, x).matrix())
+                cs = rows.sums(x_matrix(x))
         x = best_x
 
     # honest audit: fresh constraints, never the training family
-    audit = CutRows(*_sample_set_pairs(n, constraint_budget, rng))
-    cs, tp, tm = (audit.sums(m) for m in (WeightedChannel(n, x).matrix(), wp_mat, wm_mat))
-    lam_audit, _, _, _ = _max_violation(x, wp, wm, cs, audit.sizes, tp, tm)
+    s_rows, t_rows = _sample_set_pairs(n, constraint_budget, rng)
+    cs, tp, tm, sizes = _blocked_sums(s_rows, t_rows, (x_matrix(x), wp_mat, wm_mat))
+    lam_audit, _, _, _ = _max_violation(x, wp, wm, cs, sizes, tp, tm)
     return MergeSolution(
         x=x,
         lam=float(lam_audit),
         strategy=strategy,
-        constraints_checked=2 * iu.size + 2 * audit.sizes.size,
+        constraints_checked=2 * iu.size + 2 * sizes.size,
         iterations_run=iterations_run,
         stop=stop,
     )

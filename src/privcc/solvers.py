@@ -205,8 +205,12 @@ def local_search(
     The margin matrix holds one column per cluster id in use plus one
     empty column, and grows (doubling) only when a move fills its last
     column, so a full pass costs O(n*k) for k clusters, not O(n^2).  The
-    columns it leaves out are empty and never the first empty one, so
-    the moves, and their tie-breaks, are those of an n-column matrix.
+    columns it leaves out are empty and never the first empty one, so in
+    exact arithmetic the moves, and their tie-breaks, are those of an
+    n-column matrix.  With float weights a product of another width can
+    round differently in the last bit, and a near-tie can then break the
+    other way.  Integer weights, or weights on a grid such as 1/64, keep
+    every margin exact at any width.
 
     A move of v changes the margins only in the rows of v's neighbours
     (nonzero net weight), so the search keeps each vertex's best move and

@@ -187,10 +187,16 @@ def contract_coupled(graph: SignedGraph, mapping: np.ndarray) -> SignedGraph:
     owner = np.empty(graph.n, dtype=np.int64)
     owner[mapping[:, 0]] = np.arange(n)
     owner[mapping[:, 1]] = np.arange(n)
-    edges = []
-    for u, v, sign, w in graph.iter_edges():
-        a, b = int(owner[u]), int(owner[v])
-        if a == b:
-            continue  # coupling edge
-        edges.append((a, b, sign, w))
-    return SignedGraph.from_edges(n, edges)
+    a, b = owner[graph.pair_u], owner[graph.pair_v]
+    key = np.minimum(a, b) * n + np.maximum(a, b)
+    pos = (a != b) & (graph.pos_w > 0)  # coupling edges vanish
+    neg = (a != b) & (graph.neg_w > 0)
+    keys, slot = np.unique(np.concatenate([key[pos], key[neg]]), return_inverse=True)
+    pos_w = np.zeros(keys.size)
+    neg_w = np.zeros(keys.size)
+    pos_w[slot[: pos.sum()]] = graph.pos_w[pos]
+    neg_w[slot[pos.sum() :]] = graph.neg_w[neg]
+    # every edge fills a slot of its own unless two of one sign share a pair
+    if np.count_nonzero(pos_w) + np.count_nonzero(neg_w) != slot.size:
+        raise ContractViolation("two edges of one sign contract onto one pair")
+    return SignedGraph(n, keys // n, keys % n, pos_w, neg_w)

@@ -17,9 +17,11 @@ from privcc import (
 from privcc._rng import make_rng
 from privcc.graphs import CutRows
 from privcc.release_unweighted import (
+    _AUDIT_BLOCK,
     _PATIENCE,
     _RESYNC,
     MergeConfig,
+    _blocked_sums,
     _max_violation,
     _sample_set_pairs,
     laplace_release,
@@ -297,6 +299,76 @@ class TestMerge:
         }
         round_params = set(inspect.signature(round_to_signed).parameters)
         assert round_params == {"solution", "rng"}
+
+
+def row_loop_set_pairs(n, budget, rng):
+    """``_sample_set_pairs`` drawn one row per call, as a reference for its draw order."""
+    s_rows = np.zeros((2 * budget, n), dtype=bool)
+    t_rows = np.zeros((2 * budget, n), dtype=bool)
+    for i in range(budget):
+        if rng.random() < 0.5:
+            s_rows[i] = rng.random(n) < 0.5
+            t_rows[i] = rng.random(n) < 0.5
+        else:
+            z = rng.integers(0, 3, size=n)
+            s_rows[i] = z == 0
+            t_rows[i] = z == 1
+    for i in range(budget, 2 * budget):
+        s_rows[i] = rng.random(n) < 0.5
+        t_rows[i] = ~s_rows[i]
+    return s_rows, t_rows
+
+
+def integer_channel(rng, n):
+    # integer weights keep every cut sum exact, whatever the BLAS blocking
+    return WeightedChannel(n, rng.integers(-3, 4, size=n * (n - 1) // 2).astype(float))
+
+
+class TestAudit:
+    # audit row counts 2 * budget just below, at and just above one block,
+    # and just above two
+    BUDGETS = (_AUDIT_BLOCK // 2 - 1, _AUDIT_BLOCK // 2, _AUDIT_BLOCK // 2 + 1, _AUDIT_BLOCK + 1)
+
+    def test_sampling_matches_row_loop(self):
+        for n in (1, 2, 13, 50, 201):
+            for seed in range(5):
+                for budget in (1, 3, 4 * n):
+                    rng, ref = make_rng(seed), make_rng(seed)
+                    got = _sample_set_pairs(n, budget, rng)
+                    want = row_loop_set_pairs(n, budget, ref)
+                    assert np.array_equal(got[0], want[0])
+                    assert np.array_equal(got[1], want[1])
+                    # Philox state holds arrays: compare it whole through repr
+                    assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_blocked_sums_match_one_family(self, n):
+        rng = make_rng(70 + n)
+        mats = [integer_channel(rng, n).matrix() for _ in range(3)]
+        for budget in self.BUDGETS:
+            s_rows, t_rows = _sample_set_pairs(n, budget, rng)
+            whole = CutRows(s_rows, t_rows)
+            *sums, sizes = _blocked_sums(s_rows, t_rows, mats)
+            assert np.array_equal(sizes, whole.sizes)
+            for got, m in zip(sums, mats):
+                assert np.array_equal(got, whole.sums(m))
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    @pytest.mark.parametrize("block", [1, 7, _AUDIT_BLOCK])
+    def test_audit_matches_one_family(self, monkeypatch, n, block):
+        monkeypatch.setattr(release_unweighted_module, "_AUDIT_BLOCK", block)
+        rng = make_rng(80 + n)
+        wp, wm = integer_channel(rng, n), integer_channel(rng, n)
+        pairs = n * (n - 1) // 2
+        for budget in self.BUDGETS:
+            sol = solve_merge_lp(wp, wm, budget, make_rng(budget), strategy="per-edge")
+            rows = CutRows(*_sample_set_pairs(n, budget, make_rng(budget)))
+            x_mat = WeightedChannel(n, sol.x).matrix()
+            cs, tp, tm = (rows.sums(m) for m in (x_mat, wp.matrix(), wm.matrix()))
+            lam, _, _, _ = _max_violation(sol.x, wp.values, wm.values, cs, rows.sizes, tp, tm)
+            assert sol.lam == lam
+            # every pair twice and every audit row twice, as before blocking
+            assert sol.constraints_checked == 2 * pairs + 4 * budget
 
 
 class TestRounding:

@@ -3,6 +3,7 @@ import pytest
 
 from privcc import (
     Clustering,
+    ContractViolation,
     SignedGraph,
     disagreement,
     neighbor_distance,
@@ -200,3 +201,50 @@ class TestPipelineEquivalence:
             assert back.n == g.n
             assert neighbor_distance(back, g) == 0.0
             assert back.total_weight == pytest.approx(g.total_weight)
+
+    @staticmethod
+    def contract_by_edges(graph, mapping):
+        # the contraction built edge by edge, as a reference for the array build
+        owner = np.empty(graph.n, dtype=np.int64)
+        owner[mapping[:, 0]] = np.arange(mapping.shape[0])
+        owner[mapping[:, 1]] = np.arange(mapping.shape[0])
+        edges = [(int(owner[u]), int(owner[v]), sign, w)
+                 for u, v, sign, w in graph.iter_edges() if owner[u] != owner[v]]
+        return SignedGraph.from_edges(mapping.shape[0], edges)
+
+    def test_contract_matches_edge_list_construction(self):
+        rng = make_rng(39)
+        cases = [split_transform(SignedGraph.empty(3))]
+        for trial in range(40):
+            n = int(rng.integers(2, 30))
+            # parallel=True mixes one-channel pairs with two-channel ones
+            g = random_graph(rng, n, weighted=bool(trial % 3), parallel=True,
+                             density=float(rng.uniform(0.05, 1.0)))
+            cases.append(split_transform(g))
+        for hp, mapping in cases:
+            want = self.contract_by_edges(hp, mapping)
+            got = contract_coupled(hp, mapping)
+            for name in ("pair_u", "pair_v", "pos_w", "neg_w"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_contract_refuses_what_the_edge_list_refuses(self):
+        # arbitrary 2n-vertex graphs and copy maps: two edges of one sign may
+        # land on one pair, which the edge-list build refuses
+        rng = make_rng(40)
+        refused = 0
+        for trial in range(60):
+            n = int(rng.integers(1, 8))
+            g = random_graph(rng, 2 * n, weighted=True, parallel=True,
+                             density=float(rng.uniform(0.0, 0.6)))
+            mapping = rng.permutation(2 * n).reshape(n, 2)
+            try:
+                want = self.contract_by_edges(g, mapping)
+            except ContractViolation:
+                refused += 1
+                with pytest.raises(ContractViolation):
+                    contract_coupled(g, mapping)
+                continue
+            got = contract_coupled(g, mapping)
+            for name in ("pair_u", "pair_v", "pos_w", "neg_w"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert 0 < refused < 60
