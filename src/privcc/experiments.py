@@ -216,6 +216,8 @@ class ExperimentRecord:
     nonprivate_eval: bool = field(default=True, metadata=_JSONL_ONLY)
     merge_iterations: int | None = field(default=None, metadata=_JSONL_ONLY)
     merge_stop: str | None = field(default=None, metadata=_JSONL_ONLY)
+    merge_best_iteration: int | None = field(default=None, metadata=_JSONL_ONLY)
+    merge_training_lambda: float | None = field(default=None, metadata=_JSONL_ONLY)
     # per-stage wall times; the exponential route's sampling counts as release
     release_stage_ms: float | None = field(default=None, metadata=_JSONL_ONLY)
     postprocess_stage_ms: float | None = field(default=None, metadata=_JSONL_ONLY)
@@ -345,6 +347,8 @@ def run_pipeline(
         coarsen_report=report.to_dict() if report is not None else None,
         merge_iterations=audit.merge_iterations if audit else None,
         merge_stop=audit.merge_stop if audit else None,
+        merge_best_iteration=audit.merge_best_iteration if audit else None,
+        merge_training_lambda=audit.merge_training_lambda if audit else None,
         release_stage_ms=(t_release - t0) * 1000.0,
         postprocess_stage_ms=(t_post - t_release) * 1000.0 if audit else None,
         evaluate_stage_ms=(t_end - t_post) * 1000.0,

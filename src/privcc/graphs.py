@@ -404,6 +404,8 @@ class ReleaseOutput:
     private: bool = True
     merge_iterations: int | None = None  # merge solver iterations run
     merge_stop: str | None = None  # why it stopped: "patience", "budget" or "per-edge"
+    merge_best_iteration: int | None = None  # merge steps taken to reach the released x
+    merge_training_lambda: float | None = None  # its max violation on the training family
 
     def audit_dict(self) -> dict:
         """Every field, with ``lambda_residual`` under the key ``lambda``."""
@@ -472,7 +474,7 @@ class CutRows:
     empty elsewhere) and ``sizes``, the number of pairs each cut counts.
     """
 
-    __slots__ = ("s", "t", "meet", "r", "sizes")
+    __slots__ = ("s", "t", "meet", "r", "sizes", "_shared")
 
     def __init__(self, s_rows: np.ndarray, t_rows: np.ndarray):
         overlap = s_rows & t_rows
@@ -482,6 +484,7 @@ class CutRows:
         self.r = overlap[self.meet].astype(np.float64)
         rsz = overlap.sum(axis=1).astype(np.float64)
         self.sizes = self.s.sum(axis=1) * self.t.sum(axis=1) - 0.5 * rsz * (rsz + 1.0)
+        self._shared = (-1, None)  # the last row asked of shared_pairs, and its counts
 
     def sums(self, matrix: np.ndarray) -> np.ndarray:
         """Cut sums ``s' M t - (r' M r) / 2`` of a symmetric M, each pair once."""
@@ -495,8 +498,12 @@ class CutRows:
         ``H_i = s t' + t s' - r r' - diag(r)`` is the 0/1 pair mask of cut
         i, so every term is a product of row dots with i's three masks:
         three (3, n) by (n, rows) products instead of one with an n-by-n
-        matrix.  The counts are integers, so exact in float64.
+        matrix.  The counts are integers, so exact in float64.  The last
+        row's counts are kept and returned read-only, since the merge steps
+        one row many times running.
         """
+        if self._shared[0] == i:
+            return self._shared[1]
         s, t = self.s[i], self.t[i]
         masks = np.stack([s, t, s * t])
         a_s, a_t, a_r = masks @ self.s.T
@@ -504,6 +511,8 @@ class CutRows:
         count = a_s * b_t + a_t * b_s - a_r * b_r
         q_s, q_t, q_r = masks @ self.r.T
         count[self.meet] -= q_r + 0.5 * (2.0 * q_s * q_t - q_r**2 - q_r)
+        count.flags.writeable = False
+        self._shared = (i, count)
         return count
 
 

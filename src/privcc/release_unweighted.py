@@ -38,6 +38,15 @@ thin products instead of one with an n-by-n matrix).  The sums are
 recomputed in full after a step the clamp cut short, after a pair step,
 and every ``_RESYNC`` iterations, which bounds float drift.
 
+The loop keeps the last stepped row's step data: the indices of the
+pairs meeting its cut here, its shared-pair counts in
+:meth:`CutRows.shared_pairs`.  Both depend on the row alone, and on
+noisy instances the loop steps one row most of the time (one complement
+cut took 154-290 of 300 steps in the benchmark's planted n=200 cells),
+so a repeated step costs one clip and one axpy instead of a pass over
+every pair and three products.  The indices address x in the order the
+boolean mask did, so x is the same bit for bit.
+
 The audit family is summed ``_AUDIT_BLOCK`` rows at a time, one
 :class:`CutRows` per block, so its float masks and products take
 O(block * n) memory instead of O(rows * n) for its 8n rows.  A row's
@@ -86,6 +95,8 @@ class MergeSolution:
     constraints_checked: int = 0
     iterations_run: int = 0
     stop: str = "per-edge"  # why training ended: "patience", "budget" or "per-edge"
+    best_iteration: int = 0  # steps taken to reach x; 0 is the per-edge start
+    training_lambda: float | None = None  # max violation of x on the training family
 
 
 @dataclass(frozen=True)
@@ -196,7 +207,9 @@ def solve_merge_lp(
     ``x = clip((W+ + 1 - W-) / 2, 0, 1)``, the exact solution of the
     singleton-only problem; ``"sampled-lp"`` refines it by subgradient
     descent on the sampled family.  The returned ``lam`` is the maximum
-    violation over a fresh constraint sample of the same budget.
+    violation over a fresh constraint sample of the same budget; the
+    returned x is the best iterate, reached after ``best_iteration`` steps,
+    at training violation ``training_lambda`` (``None`` for per-edge).
     """
     if wplus.n != wminus.n:
         raise ContractViolation("channels must share a vertex count")
@@ -219,6 +232,8 @@ def solve_merge_lp(
     x = np.clip((wp + 1.0 - wm) / 2.0, 0.0, 1.0)
     iterations_run = 0
     stop = "per-edge"
+    best_iteration = 0
+    best_lam = None
 
     if strategy == "sampled-lp":
         rows = CutRows(*_sample_set_pairs(n, constraint_budget, rng))
@@ -227,12 +242,14 @@ def solve_merge_lp(
         best_lam = np.inf
         best_x = x.copy()
         stale = 0
+        stepped = (-1, None)  # the last stepped cut row and the pairs meeting its cut
         stop = "budget"
         for t in range(1, iterations + 1):
             lam, kind, idx, signed = _max_violation(x, wp, wm, cs, rows.sizes, tp, tm)
             if not np.isfinite(best_lam) or lam < best_lam - 1e-6 * max(best_lam, 1.0):
                 best_lam = lam
                 best_x = x.copy()
+                best_iteration = t - 1
                 stale = 0
             else:
                 stale += 1
@@ -246,9 +263,11 @@ def solve_merge_lp(
                 x[idx] = np.clip(x[idx] - step * delta, 0.0, 1.0)
                 full = True
             else:
-                # the gradient is 1 on pairs meeting the cut and 0 elsewhere
-                s, tt = rows.s[idx] > 0, rows.t[idx] > 0
-                hit = (s[iu] & tt[iv]) | (s[iv] & tt[iu])
+                if stepped[0] != idx:
+                    # the gradient is 1 on pairs meeting the cut and 0 elsewhere
+                    s, tt = rows.s[idx] > 0, rows.t[idx] > 0
+                    stepped = (idx, np.flatnonzero((s[iu] & tt[iv]) | (s[iv] & tt[iu])))
+                hit = stepped[1]
                 delta = signed if kind == "cut+" else -signed
                 shift = step * delta / max(rows.sizes[idx], 1.0)
                 moved = x[hit] - shift
@@ -272,6 +291,8 @@ def solve_merge_lp(
         constraints_checked=2 * iu.size + 2 * sizes.size,
         iterations_run=iterations_run,
         stop=stop,
+        best_iteration=best_iteration,
+        training_lambda=best_lam,
     )
 
 
@@ -343,5 +364,7 @@ def release_unweighted(
         private=scale > 0,
         merge_iterations=solution.iterations_run,
         merge_stop=solution.stop,
+        merge_best_iteration=solution.best_iteration,
+        merge_training_lambda=solution.training_lambda,
     )
     return released, audit

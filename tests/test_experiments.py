@@ -344,8 +344,11 @@ class TestMatrix:
         assert "wall_ms" in row and "wall_ms" not in CSV_HEADER
         jsonl_only = {
             "wall_ms", "coarsen_report", "nonprivate_eval", "merge_iterations", "merge_stop",
+            "merge_best_iteration", "merge_training_lambda",
             "release_stage_ms", "postprocess_stage_ms", "evaluate_stage_ms",
         }
         assert set(row) == set(CSV_HEADER.split(",")) | jsonl_only
         assert 1 <= row["merge_iterations"] <= 60
         assert row["merge_stop"] in ("patience", "budget")
+        assert 0 <= row["merge_best_iteration"] < row["merge_iterations"]
+        assert row["merge_training_lambda"] >= 0

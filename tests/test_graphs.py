@@ -175,6 +175,25 @@ class TestCuts:
                 assert got.tolist() == rows.sums(mask).tolist()
                 assert got[i] == rows.sizes[i]
 
+    def test_shared_pairs_follow_the_row_asked(self):
+        # the last row's counts are kept; asking rows i, j, i must give each
+        # row's own counts, byte for byte those of a fresh CutRows
+        rng = make_rng(111)
+        n = 20
+        s_rows = rng.random((6, n)) < 0.5
+        t_rows = rng.random((6, n)) < 0.5
+        t_rows[3:] = ~s_rows[3:]
+        rows = CutRows(s_rows, t_rows)
+        for i, j in ((0, 1), (2, 4), (5, 3)):
+            want = {r: CutRows(s_rows, t_rows).shared_pairs(r) for r in (i, j)}
+            assert want[i].tobytes() != want[j].tobytes()
+            for r in (i, j, i, i):
+                got = rows.shared_pairs(r)
+                assert got.tobytes() == want[r].tobytes()
+                assert not got.flags.writeable
+                with pytest.raises(ValueError):
+                    got[0] = -1.0
+
 
 class TestNeighborDistance:
     def test_single_flip_is_two(self):

@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from privcc import (
     neighbor_distance,
 )
 from privcc._rng import make_rng
+from privcc.experiments import InstanceSpec, generate_instance
 from privcc.graphs import CutRows
 from privcc.release_unweighted import (
     _AUDIT_BLOCK,
@@ -223,6 +225,53 @@ class TestMerge:
         )
         assert sol.iterations_run > 3 * _RESYNC
         assert updates > _RESYNC
+
+    def test_repeated_cut_row_matches_reference(self, monkeypatch):
+        # on a noisy planted instance the loop steps one complement cut over
+        # and over, reusing that row's pair indices and shared-pair counts
+        n = 48
+        graph, _ = generate_instance(
+            InstanceSpec(kind="planted", n=n, clusters=4, flip_prob=0.05, seed=1)
+        )
+        rng = make_rng(1)
+        noisy_p, noisy_m = (laplace_release(ch, 2.0, rng) for ch in indicator_channels(graph))
+        picked = []
+        pick = release_unweighted_module._max_violation
+
+        def spy_pick(*args):
+            out = pick(*args)
+            picked.append(out[1:3])
+            return out
+
+        monkeypatch.setattr(release_unweighted_module, "_max_violation", spy_pick)
+        steps, updates, sol = self.spied_merge(monkeypatch, noisy_p, noisy_m, None, 1, 300)
+        cut_rows = Counter(i for kind, i in picked[: len(steps)] if kind.startswith("cut"))
+        row, count = cut_rows.most_common(1)[0]
+        assert row >= 4 * n  # a complement row
+        assert count > 200 and updates > 200
+
+    def test_best_iteration_and_training_lambda(self):
+        noisy_p, noisy_m = self.noisy_channels(64, 30)
+        lp = solve_merge_lp(noisy_p, noisy_m, None, make_rng(30), iterations=120)
+        assert 0 < lp.best_iteration < lp.iterations_run
+        # the same run cut short just after the best iterate returns it
+        short = solve_merge_lp(
+            noisy_p, noisy_m, None, make_rng(30), iterations=lp.best_iteration + 1
+        )
+        assert short.x.tobytes() == lp.x.tobytes()
+        assert (short.best_iteration, short.training_lambda) == (
+            lp.best_iteration, lp.training_lambda
+        )
+        # the training lambda is the returned x's worst violation on the training rows
+        rows = CutRows(*_sample_set_pairs(30, 120, make_rng(30)))
+        tp, tm = rows.sums(noisy_p.matrix()), rows.sums(noisy_m.matrix())
+        cs = rows.sums(WeightedChannel(30, lp.x).matrix())
+        lam, _, _, _ = _max_violation(
+            lp.x, noisy_p.values, noisy_m.values, cs, rows.sizes, tp, tm
+        )
+        assert lp.training_lambda == pytest.approx(lam, rel=1e-9)
+        per_edge = solve_merge_lp(noisy_p, noisy_m, None, make_rng(30), strategy="per-edge")
+        assert (per_edge.best_iteration, per_edge.training_lambda) == (0, None)
 
     def test_per_edge_singleton_solution(self):
         # one pair, W+ = 0.7, W- = 0.3: the midpoint rule gives x = 0.7
@@ -441,7 +490,7 @@ class TestReleaseUnweighted:
         assert set(audit.audit_dict()) == {
             "mechanism", "epsilon", "delta", "noise_scale", "channel_budgets",
             "lambda", "merge_strategy", "constraints_checked", "seed", "private",
-            "merge_iterations", "merge_stop",
+            "merge_iterations", "merge_stop", "merge_best_iteration", "merge_training_lambda",
         }
 
     def test_preconditions(self):

@@ -208,6 +208,20 @@ class TestLocalSearch:
                     expected = full_width_local_search(g, capped, cfg)
                     assert local_search(g, capped, cfg) == expected
 
+    def test_off_grid_case_matches_full_width_reference(self):
+        # the first graph of the test above, before it goes on the grid: with
+        # its random start capped at 3 clusters, a reference whose first
+        # product was full width broke a near-tie the other way under OpenBLAS
+        rng = make_rng(19)
+        n = int(rng.integers(13, 121))
+        density = float(rng.uniform(0.03, 0.3))
+        g = random_graph(rng, n, weighted=True, parallel=True, density=density)
+        pivot_kwikcluster(g, rng)
+        start = Clustering(rng.integers(0, int(rng.integers(1, n + 1)), size=n))
+        capped = cap_clusters(start, 3)
+        cfg = SolverConfig(max_clusters=3)
+        assert local_search(g, capped, cfg) == full_width_local_search(g, capped, cfg)
+
     def test_invariant_checks_survive_optimize(self):
         # five vertices that need five moves from one cluster, so the
         # monotonicity check runs once; a rising objective must trip it
@@ -254,10 +268,14 @@ def full_width_local_search(graph, start, cfg):
     comargin = graph.channel_matrix(-1) - graph.channel_matrix(1)
     labels = start.assignment.astype(np.int64).copy()
     ncols = min(n, max(start.k + 1, kmax) + 1)
-    ind = np.zeros((n, ncols))
+    # the first product has the search's width, one column past the start's
+    # clusters: BLAS may round a wider product differently in the last bit.
+    # The columns past it are empty, so their margins are 0 at any width.
+    first = min(start.k + 1, ncols)
+    ind = np.zeros((n, first))
     ind[np.arange(n), labels] = 1.0
-    margins = comargin @ ind
-    sizes = ind.sum(axis=0)
+    margins = np.hstack([comargin @ ind, np.zeros((n, ncols - first))])
+    sizes = np.concatenate([ind.sum(axis=0), np.zeros(ncols - first)])
     for _ in range(_MAX_PASSES * n):
         current = margins[np.arange(n), labels]
         delta = margins - current[:, None]
