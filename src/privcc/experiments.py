@@ -38,6 +38,7 @@ from .graphs import (
     ReleaseOutput,
     SignedGraph,
     agreement,
+    canonical_pairs,
     disagreement,
 )
 from .io import read_edge_list
@@ -125,7 +126,7 @@ def generate_instance(spec: InstanceSpec) -> tuple[SignedGraph, Clustering | Non
     n = spec.n
     if spec.kind == "planted":
         labels = (np.arange(n) * spec.clusters) // n
-        pu, pv = np.triu_indices(n, 1)
+        pu, pv = canonical_pairs(n)
         flip = rng.random(pu.size) < spec.flip_prob
         positive = (labels[pu] == labels[pv]) ^ flip
         return SignedGraph.complete_unweighted(n, positive), Clustering(labels)
@@ -135,7 +136,7 @@ def generate_instance(spec: InstanceSpec) -> tuple[SignedGraph, Clustering | Non
     if spec.kind == "path":
         return path_graph(random_signs(n - 1, rng), spec.edge_weight), None
     # weighted-random
-    pu, pv = np.triu_indices(n, 1)
+    pu, pv = canonical_pairs(n)
     present = rng.random(pu.size) < spec.density
     pu, pv = pu[present], pv[present]
     if spec.weight_dist == "unit":

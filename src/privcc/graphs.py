@@ -8,6 +8,11 @@ the same endpoints).  A pair is absent exactly when both channel weights
 are zero.  Everything a graph is follows from its arrays: it is complete
 exactly when every pair carries positive weight.
 
+Complete graphs of one vertex count share one pair index: the read-only
+``numpy.triu_indices(n, 1)`` arrays from :func:`canonical_pairs`.  The
+registry holds them weakly, so they live exactly as long as some graph
+or caller holds them.
+
 All types are immutable after construction (backing arrays are marked
 read-only) and every operation in this module is a pure function, so
 values can be shared freely across threads.
@@ -20,6 +25,7 @@ unweighted graphs.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
@@ -29,6 +35,7 @@ __all__ = [
     "ContractViolation",
     "SizeRefusal",
     "SignedGraph",
+    "canonical_pairs",
     "Clustering",
     "WeightedChannel",
     "PrivacyParams",
@@ -59,6 +66,30 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# (n, 0) -> pair_u and (n, 1) -> pair_v of the canonical pair index of n vertices
+_PAIRS: weakref.WeakValueDictionary[tuple[int, int], np.ndarray] = weakref.WeakValueDictionary()
+
+
+def _held_pairs(n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The shared pair arrays of n vertices if something holds them, else None."""
+    u, v = _PAIRS.get((n, 0)), _PAIRS.get((n, 1))
+    return None if u is None or v is None else (u, v)
+
+
+def canonical_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``numpy.triu_indices(n, 1)`` as int64, one shared pair per n.
+
+    Every caller gets the same two arrays for as long as any holder keeps
+    them; the registry holds them weakly, so it keeps none alive itself.
+    """
+    n = int(n)
+    pairs = _held_pairs(n)
+    if pairs is None:
+        pairs = tuple(_readonly(a.astype(np.int64, copy=False)) for a in np.triu_indices(n, 1))
+        _PAIRS[n, 0], _PAIRS[n, 1] = pairs
+    return pairs
+
+
 def _symmetric(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Dense symmetric n-by-n matrix with ``w`` scattered onto pairs (u, v)."""
     m = np.zeros((n, n))
@@ -79,6 +110,10 @@ class SignedGraph:
     ``neg_w``.  A pair may carry weight on both channels.  ``complete`` is
     computed, not set: it holds exactly when every one of the C(n,2) pairs
     carries positive weight.
+
+    A graph with all C(n,2) pairs holds the shared read-only pair index of
+    :func:`canonical_pairs`, not a copy of its own, so complete graphs of
+    one n share one index, held weakly by the registry.
     """
 
     __slots__ = ("n", "complete", "pair_u", "pair_v", "pos_w", "neg_w")
@@ -94,13 +129,18 @@ class SignedGraph:
         n = int(n)
         if n < 1:
             raise ContractViolation(f"need at least one vertex, got n={n}")
-        u = np.asarray(pair_u, dtype=np.int64).copy()
-        v = np.asarray(pair_v, dtype=np.int64).copy()
+        shared = _held_pairs(n)
+        canonical = shared is not None and pair_u is shared[0] and pair_v is shared[1]
+        if canonical:
+            u, v = shared  # the shared index itself: nothing to copy or check
+        else:
+            u = np.asarray(pair_u, dtype=np.int64).copy()
+            v = np.asarray(pair_v, dtype=np.int64).copy()
         pw = np.asarray(pos_w, dtype=np.float64).copy()
         nw = np.asarray(neg_w, dtype=np.float64).copy()
         if not (u.shape == v.shape == pw.shape == nw.shape) or u.ndim != 1:
             raise ContractViolation("edge arrays must be 1-d and equally long")
-        if u.size:
+        if u.size and not canonical:
             if u.min() < 0 or v.max() >= n:
                 raise ContractViolation("vertex index out of range")
             if np.any(u >= v):
@@ -108,6 +148,9 @@ class SignedGraph:
             key = u * n + v
             if np.any(np.diff(key) <= 0):
                 raise ContractViolation("pairs must be sorted and unique")
+            if u.size == n * (n - 1) // 2:
+                # sorted, unique and canonical over all pairs: exactly the triu order
+                u, v = canonical_pairs(n)
         if not (np.all(np.isfinite(pw)) and np.all(np.isfinite(nw))):
             raise ContractViolation("weights must be finite")
         if (pw < 0).any() or (nw < 0).any():
@@ -163,7 +206,7 @@ class SignedGraph:
         (that of ``numpy.triu_indices(n, 1)``); true marks a positive edge,
         false a negative one.
         """
-        pu, pv = np.triu_indices(n, 1)
+        pu, pv = canonical_pairs(n)
         pos = np.asarray(positive, dtype=bool).astype(np.float64)
         return cls(n, pu, pv, pos, 1.0 - pos)
 
@@ -175,12 +218,14 @@ class SignedGraph:
         neg_flat: np.ndarray,
     ) -> "SignedGraph":
         """Build from flat per-pair channel weights in canonical order, dropping zero pairs."""
-        pu, pv = np.triu_indices(n, 1)
+        pu, pv = canonical_pairs(n)
         pos_flat = np.asarray(pos_flat, dtype=np.float64)
         neg_flat = np.asarray(neg_flat, dtype=np.float64)
         if pos_flat.shape != pu.shape or neg_flat.shape != pu.shape:
             raise ContractViolation("channel arrays must cover all pairs")
         keep = (pos_flat > 0) | (neg_flat > 0)
+        if keep.all():
+            return cls(n, pu, pv, pos_flat, neg_flat)
         return cls(n, pu[keep], pv[keep], pos_flat[keep], neg_flat[keep])
 
     @classmethod
@@ -205,14 +250,11 @@ class SignedGraph:
             (self.pos_w > 0) & (self.neg_w > 0)
         )
 
-    def channel_matrix(self, sign: int) -> np.ndarray:
-        """Dense symmetric n-by-n weight matrix of one sign channel."""
-        w = self.pos_w if sign == 1 else self.neg_w
-        return _symmetric(self.n, self.pair_u, self.pair_v, w)
-
     def channel_flat(self, sign: int) -> np.ndarray:
         """Flat canonical-order channel weights over all C(n,2) pairs."""
         w = self.pos_w if sign == 1 else self.neg_w
+        if w.size == self.n * (self.n - 1) // 2:
+            return w.copy()  # every pair present, so already in canonical order
         out = np.zeros(self.n * (self.n - 1) // 2)
         out[_flat_index(self.n, self.pair_u, self.pair_v)] = w
         return out
@@ -335,17 +377,9 @@ class WeightedChannel:
         self.n = n
         self.values = _readonly(values)
 
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "WeightedChannel":
-        m = np.asarray(m, dtype=np.float64)
-        n = m.shape[0]
-        pu, pv = np.triu_indices(n, 1)
-        return cls(n, m[pu, pv])
-
     def matrix(self) -> np.ndarray:
         """Dense symmetric n-by-n matrix of the pair values."""
-        pu, pv = np.triu_indices(self.n, 1)
-        return _symmetric(self.n, pu, pv, self.values)
+        return _symmetric(self.n, *canonical_pairs(self.n), self.values)
 
     def __repr__(self) -> str:
         return f"WeightedChannel(n={self.n})"

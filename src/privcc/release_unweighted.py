@@ -51,7 +51,10 @@ The audit family is summed ``_AUDIT_BLOCK`` rows at a time, one
 :class:`CutRows` per block, so its float masks and products take
 O(block * n) memory instead of O(rows * n) for its 8n rows.  A row's
 cut sums are the same row products as in one whole-family ``CutRows``,
-so the audited ``lambda`` is too.
+so the audited ``lambda`` is too.  The blocks are also drawn one at a
+time, as the sums ask for them, so the family's boolean masks never exist
+whole either; the draws follow the stream of one whole-family draw, and
+the training family is still drawn whole.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ from .graphs import (
     ReleaseOutput,
     SignedGraph,
     WeightedChannel,
+    canonical_pairs,
     laplace_scale,
 )
 
@@ -81,7 +85,7 @@ __all__ = [
 
 _PATIENCE = 300  # merge solver stops after this many non-improving iterations
 _RESYNC = 50  # cut sums are recomputed exactly at least this often
-_AUDIT_BLOCK = 256  # audit rows per CutRows, which bounds the audit's float masks
+_AUDIT_BLOCK = 256  # audit rows per draw and per CutRows, which bounds the audit's masks
 CHANNEL_SENSITIVITY = 1.0  # flipping one edge moves each 0/1 channel by 1
 
 
@@ -139,29 +143,44 @@ def laplace_release(
 # Merge step
 
 
+def _set_pair_blocks(n: int, budget: int, rng: np.random.Generator, block: int):
+    """Yield the (S, T) rows of :func:`_sample_set_pairs`, ``block`` rows at a time.
+
+    A block is drawn only when asked for.  Consecutive blocks draw the
+    same stream as one whole draw: the mixed rows keep their per-row loop,
+    and consecutive ``rng.random((k, n))`` calls draw the same doubles as
+    one call over all the complement rows.
+    """
+    rows = 2 * budget
+    for a in range(0, rows, block):
+        size = min(block, rows - a)
+        mixed = min(max(budget - a, 0), size)  # the block's rows before the complement half
+        s_rows = np.zeros((size, n), dtype=bool)
+        t_rows = np.zeros((size, n), dtype=bool)
+        for i in range(mixed):
+            if rng.random() < 0.5:
+                s_rows[i] = rng.random(n) < 0.5
+                t_rows[i] = rng.random(n) < 0.5
+            else:
+                z = rng.integers(0, 3, size=n)
+                s_rows[i] = z == 0
+                t_rows[i] = z == 1
+        if mixed < size:
+            s_rows[mixed:] = rng.random((size - mixed, n)) < 0.5
+            t_rows[mixed:] = ~s_rows[mixed:]
+        yield s_rows, t_rows
+
+
 def _sample_set_pairs(n: int, budget: int, rng: np.random.Generator):
     """Random (S, T) rows: budget mixed overlapping/disjoint + budget complements."""
-    s_rows = np.zeros((2 * budget, n), dtype=bool)
-    t_rows = np.zeros((2 * budget, n), dtype=bool)
-    for i in range(budget):
-        if rng.random() < 0.5:
-            s_rows[i] = rng.random(n) < 0.5
-            t_rows[i] = rng.random(n) < 0.5
-        else:
-            z = rng.integers(0, 3, size=n)
-            s_rows[i] = z == 0
-            t_rows[i] = z == 1
-    # one call draws the same doubles, row by row, as one rng.random(n) per row
-    s_rows[budget:] = rng.random((budget, n)) < 0.5
-    t_rows[budget:] = ~s_rows[budget:]
-    return s_rows, t_rows
+    return next(_set_pair_blocks(n, budget, rng, 2 * budget))
 
 
-def _blocked_sums(s_rows, t_rows, matrices):
-    """Cut sums of each matrix, then the cut sizes, over ``_AUDIT_BLOCK`` rows at a time."""
+def _blocked_sums(blocks, matrices):
+    """Cut sums of each matrix, then the cut sizes, one :class:`CutRows` per block of rows."""
     parts = []
-    for a in range(0, s_rows.shape[0], _AUDIT_BLOCK):
-        block = CutRows(s_rows[a : a + _AUDIT_BLOCK], t_rows[a : a + _AUDIT_BLOCK])
+    for s_rows, t_rows in blocks:
+        block = CutRows(s_rows, t_rows)
         parts.append([block.sums(m) for m in matrices] + [block.sizes])
     return [np.concatenate(column) for column in zip(*parts)]
 
@@ -221,7 +240,7 @@ def solve_merge_lp(
     wp, wm = wplus.values, wminus.values
     wp_mat = wplus.matrix()
     wm_mat = wminus.matrix()
-    iu, iv = np.triu_indices(n, 1)
+    iu, iv = canonical_pairs(n)
     x_mat = np.zeros((n, n))  # the one dense matrix of x, rewritten in place
 
     def x_matrix(values):
@@ -281,8 +300,8 @@ def solve_merge_lp(
         x = best_x
 
     # honest audit: fresh constraints, never the training family
-    s_rows, t_rows = _sample_set_pairs(n, constraint_budget, rng)
-    cs, tp, tm, sizes = _blocked_sums(s_rows, t_rows, (x_matrix(x), wp_mat, wm_mat))
+    blocks = _set_pair_blocks(n, constraint_budget, rng, _AUDIT_BLOCK)
+    cs, tp, tm, sizes = _blocked_sums(blocks, (x_matrix(x), wp_mat, wm_mat))
     lam_audit, _, _, _ = _max_violation(x, wp, wm, cs, sizes, tp, tm)
     return MergeSolution(
         x=x,

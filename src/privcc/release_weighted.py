@@ -31,6 +31,7 @@ from .graphs import (
     ReleaseOutput,
     SignedGraph,
     WeightedChannel,
+    canonical_pairs,
     cut_sums,
     laplace_scale,
 )
@@ -132,7 +133,7 @@ def sampled_cut_distance(
         return _exact_cut_distance(diff)
     cands: list[tuple[float, np.ndarray, np.ndarray]] = []
     if n >= 2:
-        iu, iv = np.triu_indices(n, 1)
+        iu, iv = canonical_pairs(n)
         top = int(np.argmax(np.abs(a.values - b.values)))
         s0 = np.zeros(n, dtype=bool)
         t0 = np.zeros(n, dtype=bool)

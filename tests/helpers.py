@@ -1,8 +1,8 @@
-"""Shared generators for fuzz-style tests."""
+"""Shared generators for fuzz-style tests, and dense views used only by tests."""
 
 import numpy as np
 
-from privcc import Clustering, SignedGraph
+from privcc import Clustering, SignedGraph, WeightedChannel
 
 
 def random_graph(
@@ -39,3 +39,19 @@ def random_clustering(rng, n, kmax=None):
     kmax = kmax or n
     k = int(rng.integers(1, kmax + 1))
     return Clustering(rng.integers(0, k, size=n))
+
+
+def channel_matrix(graph, sign):
+    """Dense symmetric n-by-n weight matrix of one sign channel of ``graph``."""
+    w = graph.pos_w if sign == 1 else graph.neg_w
+    m = np.zeros((graph.n, graph.n))
+    m[graph.pair_u, graph.pair_v] = w
+    m[graph.pair_v, graph.pair_u] = w
+    return m
+
+
+def channel_from_matrix(m):
+    """The :class:`WeightedChannel` of a symmetric matrix's upper triangle."""
+    m = np.asarray(m, dtype=np.float64)
+    pu, pv = np.triu_indices(m.shape[0], 1)
+    return WeightedChannel(m.shape[0], m[pu, pv])

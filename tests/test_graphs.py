@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,10 @@ from privcc import (
     split_signs,
 )
 from privcc._rng import make_rng
-from privcc.graphs import CutRows, cut_sums
+from privcc.graphs import CutRows, canonical_pairs, cut_sums
+from privcc.io import format_edge_list, parse_edge_list
 
-from helpers import random_clustering, random_graph
+from helpers import channel_from_matrix, channel_matrix, random_clustering, random_graph
 
 
 def triangle():
@@ -138,7 +141,7 @@ class TestCuts:
             meets = (s_rows[:, pu] & t_rows[:, pv]) | (s_rows[:, pv] & t_rows[:, pu])
             assert CutRows(s_rows, t_rows).sizes.tolist() == meets.sum(axis=1).tolist()
             for sign in (1, -1):
-                got = cut_sums(g.channel_matrix(sign), s_rows, t_rows)
+                got = cut_sums(channel_matrix(g, sign), s_rows, t_rows)
                 want = [
                     signed_cut_weight(g, np.flatnonzero(s), np.flatnonzero(t), sign)
                     for s, t in zip(s_rows, t_rows)
@@ -310,7 +313,7 @@ class TestTypes:
         rng = make_rng(107)
         vals = rng.normal(size=10)
         ch = WeightedChannel(5, vals)
-        assert np.allclose(WeightedChannel.from_matrix(ch.matrix()).values, vals)
+        assert np.allclose(channel_from_matrix(ch.matrix()).values, vals)
 
     def test_privacy_params_validation(self):
         PrivacyParams(0.5)
@@ -323,7 +326,7 @@ class TestTypes:
     def test_channel_flat_matches_matrix(self):
         rng = make_rng(108)
         g = random_graph(rng, 7, weighted=True, density=0.6)
-        m = g.channel_matrix(1)
+        m = channel_matrix(g, 1)
         pu, pv = np.triu_indices(7, 1)
         assert np.array_equal(g.channel_flat(1), m[pu, pv])
 
@@ -331,6 +334,68 @@ class TestTypes:
         rng = make_rng(19)
         g = random_graph(rng, 25, weighted=True, parallel=True)
         net = g.net_matrix()
-        ref = g.channel_matrix(1) - g.channel_matrix(-1)
+        ref = channel_matrix(g, 1) - channel_matrix(g, -1)
         assert net.tobytes() == ref.tobytes()
         assert (np.signbit(net) == np.signbit(ref)).all()
+
+
+class TestSharedPairs:
+    def test_complete_graphs_share_one_readonly_index(self):
+        rng = make_rng(120)
+        a = SignedGraph.complete_unweighted(9, rng.random(36) < 0.5)
+        b = random_graph(rng, 9, weighted=True, parallel=True, complete=True)
+        assert a.pair_u is b.pair_u and a.pair_v is b.pair_v
+        assert (a.pair_u, a.pair_v) == canonical_pairs(9)
+        pu, pv = np.triu_indices(9, 1)
+        assert np.array_equal(a.pair_u, pu) and np.array_equal(a.pair_v, pv)
+        assert a.pair_u.dtype == np.int64 and a.pair_v.dtype == np.int64
+        for arr in (a.pair_u, a.pair_v):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_edge_lists_of_complete_graphs_share(self):
+        rng = make_rng(121)
+        g = random_graph(rng, 8, weighted=True, parallel=True, complete=True)
+        shared = canonical_pairs(8)
+        for h in (SignedGraph.from_edges(8, g.iter_edges()), parse_edge_list(format_edge_list(g))):
+            assert h.complete
+            assert h.pair_u is shared[0] and h.pair_v is shared[1]
+            for field in ("pos_w", "neg_w"):
+                assert np.array_equal(getattr(h, field), getattr(g, field))
+
+    def test_from_channel_arrays_shares_only_when_no_pair_drops(self):
+        pos = np.array([1.0, 0.0, 2.0, 0.5, 0.0, 1.0])
+        neg = np.array([0.0, 3.0, 0.0, 0.5, 1.0, 0.0])
+        g = SignedGraph.from_channel_arrays(4, pos, neg)
+        assert g.pair_u is canonical_pairs(4)[0]
+        neg[1] = 0.0
+        h = SignedGraph.from_channel_arrays(4, pos, neg)
+        assert h.pair_u.size == 5 and h.pair_u is not g.pair_u
+
+    def test_shared_index_weights_still_checked(self):
+        pu, pv = canonical_pairs(5)
+        ones = np.ones(pu.size)
+        for pos in (-ones, np.where(np.arange(pu.size) == 3, np.nan, ones), ones[:-1]):
+            with pytest.raises(ContractViolation):
+                SignedGraph(5, pu, pv, pos, np.zeros(pu.size))
+        with pytest.raises(ContractViolation):
+            SignedGraph(5, pu, pv, ones, np.full(pu.size, np.inf))
+
+    def test_registry_keeps_nothing_alive(self):
+        from privcc.graphs import _PAIRS
+
+        n = 41  # used by no other test, so this test holds the only graphs of n
+        a = SignedGraph.complete_unweighted(n, np.ones(n * (n - 1) // 2, dtype=bool))
+        b = SignedGraph.from_channel_arrays(n, a.channel_flat(-1), a.channel_flat(1))
+        assert a.pair_u is b.pair_u and (n, 0) in _PAIRS and (n, 1) in _PAIRS
+        del a, b
+        gc.collect()
+        assert (n, 0) not in _PAIRS and (n, 1) not in _PAIRS
+
+    def test_channel_flat_is_a_private_copy(self):
+        g = SignedGraph.complete_unweighted(6, np.arange(15) % 2 == 0)
+        flat = g.channel_flat(1)
+        assert flat.flags.writeable and not np.shares_memory(flat, g.pos_w)
+        flat[:] = -1.0
+        assert np.array_equal(g.pos_w, (np.arange(15) % 2 == 0).astype(np.float64))

@@ -19,6 +19,8 @@ from privcc.packing import (
 )
 from privcc.solvers import enumerate_partitions, partition_disagreements
 
+from helpers import channel_matrix
+
 
 def signs(*vals):
     return np.array(vals, dtype=np.int8)
@@ -41,7 +43,7 @@ class TestPathGraph:
     def test_three_edges(self):
         g = path_graph(signs(1, -1, 1))
         assert g.n == 4 and g.edge_count == 3
-        assert g.channel_matrix(-1)[1, 2] == 1.0
+        assert channel_matrix(g, -1)[1, 2] == 1.0
 
     def test_total_weight(self):
         g = path_graph(signs(1, -1, 1, 1), edge_weight=2.5)

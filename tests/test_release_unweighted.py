@@ -26,6 +26,7 @@ from privcc.release_unweighted import (
     _blocked_sums,
     _max_violation,
     _sample_set_pairs,
+    _set_pair_blocks,
     laplace_release,
     release_unweighted,
     round_to_signed,
@@ -390,6 +391,21 @@ class TestAudit:
                     # Philox state holds arrays: compare it whole through repr
                     assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
 
+    @pytest.mark.parametrize("block", [1, 7, _AUDIT_BLOCK])
+    def test_blocks_match_one_draw(self, block):
+        # budgets 3 and 10 put the mixed/complement boundary inside a block
+        # of 7, and every budget in BUDGETS inside a block of _AUDIT_BLOCK;
+        # the reference is the row loop that _sample_set_pairs is checked on
+        for n in (1, 2, 13):
+            for budget in (1, 3, 10) + self.BUDGETS:
+                rng, ref = make_rng(budget + n), make_rng(budget + n)
+                blocks = list(_set_pair_blocks(n, budget, rng, block))
+                want = row_loop_set_pairs(n, budget, ref)
+                assert all(s.shape[0] == block for s, _ in blocks[:-1])
+                assert np.array_equal(np.concatenate([s for s, _ in blocks]), want[0])
+                assert np.array_equal(np.concatenate([t for _, t in blocks]), want[1])
+                assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+
     @pytest.mark.parametrize("n", [1, 2, 9])
     def test_blocked_sums_match_one_family(self, n):
         rng = make_rng(70 + n)
@@ -397,7 +413,11 @@ class TestAudit:
         for budget in self.BUDGETS:
             s_rows, t_rows = _sample_set_pairs(n, budget, rng)
             whole = CutRows(s_rows, t_rows)
-            *sums, sizes = _blocked_sums(s_rows, t_rows, mats)
+            blocks = (
+                (s_rows[a : a + _AUDIT_BLOCK], t_rows[a : a + _AUDIT_BLOCK])
+                for a in range(0, s_rows.shape[0], _AUDIT_BLOCK)
+            )
+            *sums, sizes = _blocked_sums(blocks, mats)
             assert np.array_equal(sizes, whole.sizes)
             for got, m in zip(sums, mats):
                 assert np.array_equal(got, whole.sums(m))

@@ -25,7 +25,7 @@ from privcc.solvers import (
     solve_exact,
 )
 
-from helpers import random_graph
+from helpers import channel_matrix, random_graph
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 
@@ -265,7 +265,7 @@ def full_width_local_search(graph, start, cfg):
     """Reference local search with one margin column per possible cluster."""
     n = graph.n
     kmax = cfg.max_clusters if cfg.max_clusters is not None else n
-    comargin = graph.channel_matrix(-1) - graph.channel_matrix(1)
+    comargin = channel_matrix(graph, -1) - channel_matrix(graph, 1)
     labels = start.assignment.astype(np.int64).copy()
     ncols = min(n, max(start.k + 1, kmax) + 1)
     # the first product has the search's width, one column past the start's
