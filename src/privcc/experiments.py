@@ -20,10 +20,11 @@ derived from the rest.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
+import logging
 import os
-import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -68,6 +69,8 @@ __all__ = [
     "run_matrix",
     "CSV_HEADER",
 ]
+
+_log = logging.getLogger("privcc")
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +437,14 @@ def run_matrix(
     skipped, so an interrupted run picks up where it left off and
     converges to the same files; a last row cut off mid-write (no trailing
     newline), or a last CSV row without its JSONL record, is dropped and
-    its cell runs again.  Failures are reported per cell on stderr and do
-    not stop the matrix.
+    its cell runs again.
+
+    A failed cell writes no row and does not stop the matrix; resume runs
+    it again.  It is logged as an error on the ``privcc`` logger (on
+    stderr unless the caller configures logging), and when a JSONL is
+    kept, one ``{cell, instance, error, message}`` line goes to
+    ``<jsonl>.failures.jsonl``, which starts empty with the JSONL and is
+    appended to on resume.
     """
     master_seed = int(matrix.get("master_seed", 0))
     specs = [_from_dict(InstanceSpec, s, "instance") for s in matrix["instances"]]
@@ -448,40 +457,45 @@ def run_matrix(
     done = _done_cells(csv_path, jsonl_path) if resuming else set()
     mode = "a" if resuming else "w"
     records: list[ExperimentRecord] = []
-    with open(csv_path, mode, encoding="utf-8") as csv_fh:
-        jsonl_fh = open(jsonl_path, mode, encoding="utf-8") if jsonl_path else None
-        try:
-            if csv_fh.tell() == 0:
-                csv_fh.write(CSV_HEADER + "\n")
-            cells = itertools.product(specs, epsilons, pipelines, replicates)
-            for cell_index, (spec, eps, pipe, rep) in enumerate(cells):
-                if cell_index in done:
-                    continue
-                try:
-                    graph, truth = generate_instance(spec)
-                    cell_seed = stream_id("cell", master_seed, cell_index) >> 1
-                    _, record = run_pipeline(
-                        graph,
-                        PrivacyParams(eps, delta),
-                        pipe,
-                        cell_seed,
-                        truth=truth,
-                        instance_label=spec.label(),
-                        cell=cell_index,
-                    )
-                except Exception as exc:  # surfaced per cell, matrix continues
-                    print(
-                        f"cell {cell_index} failed: {type(exc).__name__}: {exc}",
-                        file=sys.stderr,
-                    )
-                    continue
-                csv_fh.write(record.csv_row() + "\n")
-                csv_fh.flush()
-                if jsonl_fh:
-                    jsonl_fh.write(record.to_json() + "\n")
-                    jsonl_fh.flush()
-                records.append(record)
-        finally:
+    with contextlib.ExitStack() as files:
+        csv_fh = files.enter_context(open(csv_path, mode, encoding="utf-8"))
+        jsonl_fh = failures_fh = None
+        if jsonl_path:
+            jsonl_fh = files.enter_context(open(jsonl_path, mode, encoding="utf-8"))
+            failures_fh = files.enter_context(
+                open(jsonl_path + ".failures.jsonl", mode, encoding="utf-8")
+            )
+        if csv_fh.tell() == 0:
+            csv_fh.write(CSV_HEADER + "\n")
+        cells = itertools.product(specs, epsilons, pipelines, replicates)
+        for cell_index, (spec, eps, pipe, rep) in enumerate(cells):
+            if cell_index in done:
+                continue
+            try:
+                graph, truth = generate_instance(spec)
+                cell_seed = stream_id("cell", master_seed, cell_index) >> 1
+                _, record = run_pipeline(
+                    graph,
+                    PrivacyParams(eps, delta),
+                    pipe,
+                    cell_seed,
+                    truth=truth,
+                    instance_label=spec.label(),
+                    cell=cell_index,
+                )
+            except Exception as exc:  # reported per cell, the matrix continues
+                _log.error("cell %d failed: %s: %s", cell_index, type(exc).__name__, exc,
+                           exc_info=True)
+                if failures_fh:
+                    failure = {"cell": cell_index, "instance": spec.label(),
+                               "error": type(exc).__name__, "message": str(exc)}
+                    failures_fh.write(json.dumps(failure) + "\n")
+                    failures_fh.flush()
+                continue
+            csv_fh.write(record.csv_row() + "\n")
+            csv_fh.flush()
             if jsonl_fh:
-                jsonl_fh.close()
+                jsonl_fh.write(record.to_json() + "\n")
+                jsonl_fh.flush()
+            records.append(record)
     return records

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,10 +50,11 @@ EXACT_LIMIT = 12
 # local search stops after this many sweeps of n moves
 _MAX_PASSES = 50
 
-# dense net matrices of the graphs solve() is working on, by graph id, so
-# the pivot and local-search passes of all its restarts share one scatter;
-# solve() drops its entry when it returns
-_SOLVING: dict[int, np.ndarray] = {}
+# what solve() prepares once for the pivot and local-search passes of all
+# its restarts, by graph id: one negated net matrix and the rows each
+# vertex's move touches (see _prepare); solve() drops its entry when it
+# returns or raises, and a call outside solve() prepares its own
+_SOLVING: dict[int, _Prepared] = {}
 
 
 @dataclass(frozen=True)
@@ -130,11 +132,6 @@ def solve_exact(graph: SignedGraph, cfg: SolverConfig | None = None) -> Clusteri
     return Clustering(parts[int(np.argmin(err))])
 
 
-def _net_matrix(graph: SignedGraph) -> np.ndarray:
-    net = _SOLVING.get(id(graph))
-    return graph.net_matrix() if net is None else net
-
-
 # ---------------------------------------------------------------------------
 # Pivot greedy
 
@@ -149,7 +146,9 @@ def pivot_kwikcluster(graph: SignedGraph, rng: np.random.Generator) -> Clusterin
     with parallel edges feed in directly.
     """
     n = graph.n
-    positive = _net_matrix(graph) > 0
+    prepared = _SOLVING.get(id(graph))
+    # the negated matrix is below 0 exactly where the net weight is above 0
+    positive = graph.net_matrix() > 0 if prepared is None else prepared.comargin < 0
     labels = np.full(n, -1, dtype=np.int64)
     next_label = 0
     for p in rng.permutation(n):
@@ -166,28 +165,80 @@ def pivot_kwikcluster(graph: SignedGraph, rng: np.random.Generator) -> Clusterin
 # Local search
 
 
+class _Prepared(NamedTuple):
+    """What :func:`_prepare` computes once per graph."""
+
+    comargin: np.ndarray
+    hub: list[bool]
+    near: list[np.ndarray | None]
+
+
+def _prepare(graph: SignedGraph) -> _Prepared:
+    """The negated net matrix and the rows each vertex's move touches.
+
+    ``comargin`` is the net matrix negated in place, so that a vertex's
+    margin in a cluster is the sum of its row over the members.  A hub has
+    nonzero net weight to more than half the vertices; its moves take the
+    full pass, which costs no more than rescoring its rows.  Every other
+    vertex keeps the sorted indices of itself and its neighbours, the
+    rows whose margins its move changes.
+    """
+    comargin = graph.net_matrix()
+    np.negative(comargin, out=comargin)
+    nonzero = comargin != 0
+    hub = (2 * np.count_nonzero(nonzero, axis=1) > graph.n).tolist()
+    np.fill_diagonal(nonzero, True)
+    near = [None if h else np.flatnonzero(row) for h, row in zip(hub, nonzero)]
+    return _Prepared(comargin, hub, near)
+
+
+def _layout(sizes: list[int], kmax: int) -> tuple[int, np.ndarray, int | None]:
+    """Live width, barred columns and spare column of the margin matrix.
+
+    The spare is the first empty column while fewer than ``kmax`` clusters
+    are occupied, else None; the other empty columns are barred.  Columns
+    past the last occupied or spare one are barred too, and left out: the
+    live width ends there.
+    """
+    empty = [c for c, s in enumerate(sizes) if s == 0]
+    spare = empty[0] if empty and len(sizes) - len(empty) < kmax else None
+    live = len(sizes)
+    while sizes[live - 1] == 0 and live - 1 != spare:
+        live -= 1
+    barred = np.array([c for c in empty if c < live and c != spare], dtype=np.intp)
+    return live, barred, spare
+
+
 def _gains(
     margins: np.ndarray,
-    labels: np.ndarray,
-    sizes: np.ndarray,
-    empty: np.ndarray,
+    current: np.ndarray,
+    own: np.ndarray | None,
+    alone: np.ndarray,
+    barred: np.ndarray,
     spare: int | None,
+    order: str,
 ) -> np.ndarray:
     """Objective change of moving each row's vertex to each column.
 
-    The ``empty`` columns (clusters without members) are barred (inf),
-    except ``spare``, the first of them (None once no new cluster may
-    open), which stands for a new singleton and is open to every vertex
-    that is not alone.  A vertex's own column is barred too.
+    ``margins`` holds the rows and columns to score, and ``current`` each
+    row's margin in its own cluster; the gains come out in memory
+    ``order``, "C" (row-major) or "F" (column-major).  The ``barred``
+    columns score inf.  ``spare`` (None once no new cluster may open) is
+    an empty column that stands for a new singleton: a move there gains
+    minus the current margin, and is barred to a vertex ``alone`` in its
+    cluster.  Each row's own entry is barred too: ``own`` holds their
+    flat positions in that order, or is None when no row's own column is
+    among those scored.
     """
-    rows = np.arange(labels.size)
-    current = margins[rows, labels]
-    delta = margins - current[:, None]
-    delta[:, empty] = np.inf
+    delta = np.subtract(margins, current[:, None], order=order)
+    if barred.size:
+        delta[:, barred] = np.inf
     if spare is not None:
-        movable = sizes[labels] > 1
-        delta[movable, spare] = -current[movable]
-    delta[rows, labels] = np.inf
+        column = delta[:, spare]
+        np.negative(current, out=column)
+        column[alone] = np.inf
+    if own is not None:
+        delta.ravel(order=order)[own] = np.inf
     return delta
 
 
@@ -204,23 +255,28 @@ def local_search(
 
     The margin matrix holds one column per cluster id in use plus one
     empty column, and grows (doubling) only when a move fills its last
-    column, so a full pass costs O(n*k) for k clusters, not O(n^2).  The
-    columns it leaves out are empty and never the first empty one, so in
-    exact arithmetic the moves, and their tie-breaks, are those of an
-    n-column matrix.  With float weights a product of another width can
-    round differently in the last bit, and a near-tie can then break the
-    other way.  Integer weights, or weights on a grid such as 1/64, keep
-    every margin exact at any width.
+    column.  A full pass scores only the live columns, up to the last
+    occupied or spare one, so it costs O(n*k) for k clusters, not
+    O(n^2).  The columns it leaves out are empty and never the first
+    empty one, so in exact arithmetic the moves, and their tie-breaks,
+    are those of an n-column matrix.  With float weights a product of
+    another width can round differently in the last bit, and a near-tie
+    can then break the other way.  Integer weights, or weights on a grid
+    such as 1/64, keep every margin exact at any width.
 
     A move of v changes the margins only in the rows of v's neighbours
     (nonzero net weight), so the search keeps each vertex's best move and
     rescores, at O(deg(v)*k), only v, its neighbours, and the vertices
     whose cluster the move shrank to one member or grew to two (they
-    lose or gain the new-singleton move).  It falls back to the full
-    O(n*k) pass after a move that opens or closes a cluster, which shifts
-    the columns of every row, and after a move of a vertex with more
-    than n/2 neighbours; on a complete graph every move is of that kind.
-    Both passes compute the same gains, so the moves are identical.
+    lose or gain the new-singleton move).  A move that opens or closes a
+    cluster also changes, for every row, which columns are barred and
+    which is spare.  That touches at most four columns: the old and
+    target clusters, and the spare before and after.  A row whose kept
+    best move is in one of them is rescored; any other row compares its
+    kept best with those columns alone, the lower column winning a tie.
+    The move of a vertex with more than n/2 neighbours takes a full pass
+    instead; on a complete graph every move is of that kind.  Every pass
+    computes the same gains, so the moves are identical.
     """
     cfg = cfg or SolverConfig()
     if start.n != graph.n:
@@ -229,34 +285,38 @@ def local_search(
     kmax = cfg.max_clusters if cfg.max_clusters is not None else n
     if start.k > kmax:
         raise ContractViolation(f"start has {start.k} clusters, limit is {kmax}")
+    prepared = _SOLVING.get(id(graph))
     # margin[v, c] = cost of v sitting in cluster c, up to a per-vertex constant
-    comargin = -_net_matrix(graph)
-    # vertices whose moves touch most rows; a full pass is as cheap for them
-    hub = (2 * np.count_nonzero(comargin, axis=1) > n).tolist()
+    comargin, hub, near = _prepare(graph) if prepared is None else prepared
 
     rows = np.arange(n)
-    labels = start.assignment.astype(np.int64).copy()
+    labels = start.assignment.astype(np.int64)
     full = min(n, max(start.k + 1, kmax) + 1)
     ind = np.zeros((n, min(start.k + 1, full)))
     ind[rows, labels] = 1.0
-    margins = comargin @ ind
-    sizes = ind.sum(axis=0)
+    # column-major, so that a move's column updates and a pass's
+    # subtraction run along contiguous memory
+    margins = np.asfortranarray(comargin @ ind)
+    sizes = np.bincount(labels, minlength=ind.shape[1]).tolist()
+    alone = np.array(sizes)[labels] == 1
+    # flat positions of each vertex's own entry in the column-major margins
+    own = labels * n + rows
+    live, barred, spare = _layout(sizes, kmax)
 
     tol = 1e-9
     moves_budget = _MAX_PASSES * n
     best_err = disagreement(Clustering(labels), graph)
     moves_done = 0
-    # rows whose gains the last move changed; None asks for a full pass
+    # rows whose gains the last move changed (None asks for a full pass),
+    # and the columns whose layout it changed for every row
     redo: np.ndarray | None = None
+    changed: list[int] = []
     gains = best = arg = None
     while moves_done < moves_budget:
         if redo is None:
-            # occupied columns only, except one spare column acting as "new
-            # cluster"; moves between the full passes leave both unchanged
-            empty = np.flatnonzero(sizes == 0)
-            spare = int(empty[0]) if sizes.size - empty.size < kmax and empty.size else None
-            gains = _gains(margins, labels, sizes, empty, spare)
-            v, target = divmod(int(np.argmin(gains)), gains.shape[1])
+            current = margins.ravel(order="F")[own]
+            gains = _gains(margins[:, :live], current, own, alone, barred, spare, "F")
+            v, target = divmod(int(gains.argmin()), live)
             gain = gains[v, target]
             best = None
         else:
@@ -265,40 +325,75 @@ def local_search(
                 arg = gains.argmin(axis=1)
                 best = gains[rows, arg]
                 gains = None
-            part = _gains(margins[redo], labels[redo], sizes, empty, spare)
+            if changed:
+                # a row whose best move was in a changed column is rescored;
+                # any other keeps it unless a changed column now beats it.
+                # No row outside the rescored ones has its own column there.
+                hit = np.zeros(n, dtype=bool)
+                hit[redo] = True
+                for c in changed:
+                    hit |= arg == c
+                redo, keep = np.flatnonzero(hit), np.flatnonzero(~hit)
+                cols = [c for c in changed if c < live]
+                if cols and keep.size:
+                    part = _gains(
+                        margins[np.ix_(keep, cols)], margins[keep, labels[keep]], None,
+                        alone[keep],
+                        np.array([i for i, c in enumerate(cols) if c != spare and sizes[c] == 0],
+                                 dtype=np.intp),
+                        cols.index(spare) if spare in cols else None, "C",
+                    )
+                    at = part.argmin(axis=1)
+                    val, col = part[np.arange(keep.size), at], np.array(cols)[at]
+                    kept = best[keep]
+                    wins = (val < kept) | ((val == kept) & (col < arg[keep]))
+                    best[keep[wins]], arg[keep[wins]] = val[wins], col[wins]
+            at = np.arange(redo.size)
+            mine = labels[redo]
+            part = _gains(
+                margins[redo, :live], margins[redo, mine], at * live + mine,
+                alone[redo], barred, spare, "C",
+            )
             cols = part.argmin(axis=1)
             arg[redo] = cols
-            best[redo] = part[np.arange(redo.size), cols]
+            best[redo] = part[at, cols]
             v = int(np.argmin(best))
             target = int(arg[v])
             gain = best[v]
         if not (gain < -tol):
             break
-        old = labels[v]
+        old = int(labels[v])
         labels[v] = target
-        # comargin is symmetric, and its row v is contiguous
+        own[v] = target * n + v
+        # comargin is symmetric, and its row v is contiguous like a margin column
         margins[:, old] -= comargin[v]
         margins[:, target] += comargin[v]
         sizes[old] -= 1
         sizes[target] += 1
-        if hub[v] or sizes[old] == 0 or sizes[target] == 1:
-            # a hub moved, or a cluster opened or closed, which moves the
-            # barred and spare columns of every row
+        # members of a cluster now of one or two lose or gain the new-singleton move
+        alone[v] = sizes[target] == 1
+        flipped = []
+        if sizes[old] == 1:
+            flipped.append(np.flatnonzero(labels == old))
+            alone[flipped[-1]] = True
+        if sizes[target] == 2:
+            flipped.append(np.flatnonzero(labels == target))
+            alone[flipped[-1]] = False
+        changed = []
+        if sizes[old] == 0 or sizes[target] == 1:
+            # a cluster closed or opened: the barred and spare columns move
+            if sizes[-1] > 0 and len(sizes) < full:
+                # keep an empty column in reach: the next "new cluster" target
+                grow = min(len(sizes), full - len(sizes))
+                margins = np.asfortranarray(np.hstack([margins, np.zeros((n, grow))]))
+                sizes += [0] * grow
+            before = spare
+            live, barred, spare = _layout(sizes, kmax)
+            changed = sorted({before, spare, old if sizes[old] == 0 else target} - {None})
+        if hub[v]:
             redo = None
         else:
-            touched = comargin[v] != 0
-            touched[v] = True
-            # members of a cluster now of one or two lose or gain the new-singleton move
-            if sizes[old] == 1:
-                touched |= labels == old
-            if sizes[target] == 2:
-                touched |= labels == target
-            redo = np.flatnonzero(touched)
-        if sizes[-1] > 0 and sizes.size < full:
-            # keep an empty column in reach: the next "new cluster" target
-            grow = min(sizes.size, full - sizes.size)
-            margins = np.hstack([margins, np.zeros((n, grow))])
-            sizes = np.concatenate([sizes, np.zeros(grow)])
+            redo = np.concatenate([near[v], *flipped]) if flipped else near[v]
         moves_done += 1
         if moves_done % n == 0:
             err_now = disagreement(Clustering(labels), graph)
@@ -341,7 +436,7 @@ def solve(graph: SignedGraph, cfg: SolverConfig | None = None) -> Clustering:
         return solve_exact(graph, cfg)
     best: Clustering | None = None
     best_err = np.inf
-    _SOLVING[id(graph)] = graph.net_matrix()
+    _SOLVING[id(graph)] = _prepare(graph)
     try:
         for restart in range(cfg.restarts):
             rng = make_rng(cfg.seed, "pivot-restart", restart)

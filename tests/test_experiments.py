@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import time
 
@@ -321,7 +322,7 @@ class TestMatrix:
         run_matrix(self.MATRIX, str(partial), None, resume=True)
         assert partial.read_bytes() == full.read_bytes()
 
-    def test_failures_surfaced_and_skipped(self, tmp_path, capsys):
+    def test_failures_surfaced_and_skipped(self, tmp_path, caplog):
         bad = dict(self.MATRIX)
         bad["instances"] = [
             {"kind": "weighted-random", "n": 8, "weight_dist": "exponential",
@@ -331,10 +332,37 @@ class TestMatrix:
         bad["epsilons"] = [1.0]
         bad["seeds"] = [0]
         csv = tmp_path / "c.csv"
-        records = run_matrix(bad, str(csv), None)
+        with caplog.at_level(logging.ERROR, logger="privcc"):
+            records = run_matrix(bad, str(csv), None)
         assert len(records) == 1
-        err = capsys.readouterr().err
-        assert "failed" in err and "ContractViolation" in err
+        assert "failed" in caplog.text and "ContractViolation" in caplog.text
+
+    def test_failed_cell_goes_to_the_failures_jsonl(self, tmp_path, caplog):
+        matrix = dict(self.MATRIX, epsilons=[1.0], seeds=[0])
+        matrix["instances"] = [
+            {"kind": "file", "path": str(tmp_path / "missing.txt")},
+            {"kind": "planted", "n": 10, "clusters": 2, "seed": 2},
+        ]
+        csv, jsonl = tmp_path / "m.csv", tmp_path / "m.jsonl"
+        failures = tmp_path / "m.jsonl.failures.jsonl"
+        with caplog.at_level(logging.ERROR, logger="privcc"):
+            records = run_matrix(matrix, str(csv), str(jsonl))
+        assert [r.cell for r in records] == [1]
+        rows = csv.read_text().splitlines()
+        assert rows[0] == CSV_HEADER and len(rows) == 2 and rows[1].startswith("1,")
+        assert [json.loads(r)["cell"] for r in jsonl.read_text().splitlines()] == [1]
+        (line,) = failures.read_text().splitlines()
+        failure = json.loads(line)
+        assert {k: failure[k] for k in ("cell", "instance", "error")} == {
+            "cell": 0, "instance": "file(missing.txt)", "error": "FileNotFoundError",
+        }
+        assert "missing.txt" in failure["message"]
+        assert "cell 0 failed: FileNotFoundError" in caplog.text
+        # resume runs the failed cell again, and only its failure line grows
+        kept = csv.read_bytes(), jsonl.read_bytes()
+        assert run_matrix(matrix, str(csv), str(jsonl), resume=True) == []
+        assert (csv.read_bytes(), jsonl.read_bytes()) == kept
+        assert [json.loads(r)["cell"] for r in failures.read_text().splitlines()] == [0, 0]
 
     def test_jsonl_carries_full_record(self, tmp_path):
         csv, jsonl = tmp_path / "d.csv", tmp_path / "d.jsonl"

@@ -222,6 +222,87 @@ class TestLocalSearch:
         cfg = SolverConfig(max_clusters=3)
         assert local_search(g, capped, cfg) == full_width_local_search(g, capped, cfg)
 
+    def test_opens_and_closes_match_full_width_reference(self, monkeypatch):
+        # sparse graphs with no hub: singletons merge (moves close clusters),
+        # and random labels both merge and split (moves open clusters too).
+        # After the first full pass no scoring call covers all n rows, and
+        # the layout is recomputed on opens and closes only.
+        import privcc.solvers as solvers
+
+        scored, layouts = [], []
+        gains, layout = solvers._gains, solvers._layout
+        monkeypatch.setattr(
+            solvers, "_gains", lambda m, *a: scored.append(m.shape[0]) or gains(m, *a)
+        )
+        monkeypatch.setattr(
+            solvers, "_layout", lambda *a: layouts.append(1) or layout(*a)
+        )
+        rng = make_rng(20)
+        for trial in range(8):
+            n = int(rng.integers(30, 90))
+            g = random_graph(rng, n, weighted=True, parallel=True,
+                             density=float(rng.uniform(0.05, 0.2)),
+                             integer_weights=bool(trial % 2))
+            if trial % 2 == 0:
+                g = on_grid(g, 64)
+            assert not any(solvers._prepare(g).hub)
+            starts = [
+                Clustering(np.arange(n)),
+                Clustering(rng.integers(0, n // 3, size=n)),
+                Clustering(rng.integers(0, n // 6, size=n)),
+            ]
+            opened_or_closed = 0
+            for start in starts:
+                for kmax in (None, 2, start.k):
+                    capped = start if kmax is None else cap_clusters(start, kmax)
+                    cfg = SolverConfig(max_clusters=kmax)
+                    scored.clear()
+                    layouts.clear()
+                    assert local_search(g, capped, cfg) == full_width_local_search(g, capped, cfg)
+                    assert scored[0] == n and max(scored[1:], default=0) < n
+                    opened_or_closed += len(layouts) - 1
+            assert opened_or_closed > 10
+
+    @pytest.mark.parametrize("seed", [9, 55])
+    def test_off_grid_opens_and_closes_match_full_width_reference(self, seed):
+        # with weights near 1e9 off any grid, the columns that a move opens
+        # or closes change by float residues in rows the move does not
+        # touch.  A search that skips comparing those columns with a row's
+        # kept best move (seed 9), or rescoring the rows whose kept best was
+        # in one of them (seed 55), moves differently on these graphs; each
+        # was the first such seed of this construction.
+        rng = make_rng(seed)
+        n = int(rng.integers(20, 80))
+        g = random_graph(rng, n, weighted=True, parallel=True,
+                         density=float(rng.uniform(0.2, 0.45)))
+        g = SignedGraph.from_channel_arrays(n, g.channel_flat(1) * 1e9, g.channel_flat(-1) * 1e9)
+        for parts in (n // 3, n // 8):
+            start = Clustering(rng.integers(0, parts, size=n))
+            cfg = SolverConfig()
+            assert local_search(g, start, cfg) == full_width_local_search(g, start, cfg)
+
+    @pytest.mark.parametrize("seed", [342, 829])
+    def test_rescores_vertices_whose_cluster_shrinks_to_one_or_grows_to_two(self, seed):
+        # weights near 1e9 and off any grid leave float residues above the
+        # 1e-9 tolerance in the margins of columns that members have left,
+        # so a vertex's new-singleton move is worth minus such a residue.
+        # The vertex left alone when its cluster shrinks to one loses that
+        # move, and a lone vertex joined by a non-neighbour gains it.  A
+        # search that skips rescoring the first (seed 829) or the second
+        # (seed 342) moves differently.  Among make_rng seeds of this
+        # construction, 829 was the only such graph in 0-999 and 342 the
+        # first in 0-399.
+        rng = make_rng(seed)
+        n = int(rng.integers(13, 61))
+        density = float(rng.uniform(0.2, 0.45))
+        g = random_graph(rng, n, weighted=True, parallel=True, density=density)
+        g = SignedGraph.from_channel_arrays(n, g.channel_flat(1) * 1e9, g.channel_flat(-1) * 1e9)
+        pivot_kwikcluster(g, rng)
+        start = Clustering(rng.integers(0, int(rng.integers(1, n + 1)), size=n))
+        for kmax in (None, start.k):
+            cfg = SolverConfig(max_clusters=kmax)
+            assert local_search(g, start, cfg) == full_width_local_search(g, start, cfg)
+
     def test_invariant_checks_survive_optimize(self):
         # five vertices that need five moves from one cluster, so the
         # monotonicity check runs once; a rising objective must trip it
@@ -327,6 +408,43 @@ class TestSolve:
         assert not solvers._SOLVING  # the shared matrix is dropped on return
         pivot_kwikcluster(g, make_rng(1))  # on its own, each call scatters
         assert len(calls) == 2
+
+    def test_prepared_data_never_outlives_a_call(self, monkeypatch):
+        import privcc.solvers as solvers
+
+        g = random_graph(make_rng(21), 30, weighted=True, parallel=True)
+        solve(g, SolverConfig(restarts=2))
+        assert not solvers._SOLVING
+        local_search(g, Clustering.one_cluster(30))  # prepares its own
+        assert not solvers._SOLVING
+
+        def fail(*args):
+            assert id(g) in solvers._SOLVING
+            raise RuntimeError("stop")
+
+        monkeypatch.setattr(solvers, "local_search", fail)
+        with pytest.raises(RuntimeError):
+            solve(g)
+        assert not solvers._SOLVING
+
+    def test_pivot_reads_the_prepared_matrix_alike(self):
+        import privcc.solvers as solvers
+
+        rng = make_rng(22)
+        graphs = [random_graph(rng, 25, complete=True),
+                  random_graph(rng, 40, weighted=True, parallel=True, density=0.3,
+                               integer_weights=True)]
+        # a parallel pair whose net weight is 0 counts as negative either way
+        graphs.append(SignedGraph.from_edges(3, [(0, 1, 1, 2.0), (0, 1, -1, 2.0),
+                                                 (1, 2, 1, 1.0)]))
+        for g in graphs:
+            alone = [pivot_kwikcluster(g, make_rng(23, r)) for r in range(5)]
+            solvers._SOLVING[id(g)] = solvers._prepare(g)
+            try:
+                shared = [pivot_kwikcluster(g, make_rng(23, r)) for r in range(5)]
+            finally:
+                del solvers._SOLVING[id(g)]
+            assert shared == alone
 
     def test_deterministic(self):
         rng = make_rng(15)
