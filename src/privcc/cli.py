@@ -146,13 +146,8 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    if args.input:
-        graph, truth = read_edge_list(args.input), None
-        label = f"file({args.input})"
-    else:
-        spec = _spec_from_args(args)
-        graph, truth = generate_instance(spec)
-        label = spec.label()
+    spec = InstanceSpec(kind="file", path=args.input) if args.input else _spec_from_args(args)
+    graph, truth = generate_instance(spec)
     config = PipelineConfig(
         mechanism=args.mechanism,
         solver=SolverConfig(restarts=args.restarts),
@@ -161,7 +156,7 @@ def _cmd_pipeline(args) -> int:
     )
     params = PrivacyParams(args.epsilon, args.delta)
     _, record = run_pipeline(graph, params, config, args.seed, truth=truth,
-                             instance_label=label)
+                             instance_label=spec.label())
     if args.format == "jsonl":
         _emit(record.to_json() + "\n", args.output)
     else:

@@ -11,11 +11,12 @@ A pipeline run has three strictly separated stages:
 
 Records are emitted twice: a CSV row with the plot-ready, deterministic
 fields (identical bytes for identical seeds), and a JSONL record that
-additionally carries wall times (total and per stage) and the coarsening
-report.  The split is declared once, on the fields of
-:class:`ExperimentRecord`: a field marked ``jsonl_only`` in its metadata
-stays out of the CSV, and both ``CSV_HEADER`` and ``csv_row`` are
-derived from the rest.
+additionally carries wall times (total and per stage), the coarsening
+report, and the release's whole audit under ``release``
+(:meth:`ReleaseOutput.audit_dict`, None on the exponential route).  The
+split is declared once, on the fields of :class:`ExperimentRecord`: a
+field marked ``jsonl_only`` in its metadata stays out of the CSV, and
+both ``CSV_HEADER`` and ``csv_row`` are derived from the rest.
 """
 
 from __future__ import annotations
@@ -103,6 +104,10 @@ class InstanceSpec:
             raise ContractViolation(f"unknown weight_dist {self.weight_dist!r}")
         if not 0 < self.density <= 1:
             raise ContractViolation("density must be in (0, 1]")
+        if self.kind in ("path", "weighted-random") and not 0 < self.edge_weight < np.inf:
+            raise ContractViolation(
+                f"edge_weight must be positive and finite, got {self.edge_weight}"
+            )
         if self.kind == "file" and not self.path:
             raise ContractViolation("file instances need a path")
 
@@ -176,6 +181,8 @@ class PipelineConfig:
             raise ContractViolation(f"unknown release engine {self.engine!r}")
         if self.mechanism == "exponential" and self.zero_noise:
             raise ContractViolation("the exponential mechanism has no zero-noise engine")
+        if self.coarsen_k is not None and self.coarsen_k < 1:
+            raise ContractViolation(f"coarsen_k must be >= 1, got {self.coarsen_k}")
         if self.solver.seed != 0:
             raise ContractViolation(
                 "solver.seed must stay 0: a pipeline solves with its cell seed"
@@ -218,10 +225,7 @@ class ExperimentRecord:
     wall_ms: float = field(default=0.0, metadata=_JSONL_ONLY)
     coarsen_report: dict | None = field(default=None, metadata=_JSONL_ONLY)
     nonprivate_eval: bool = field(default=True, metadata=_JSONL_ONLY)
-    merge_iterations: int | None = field(default=None, metadata=_JSONL_ONLY)
-    merge_stop: str | None = field(default=None, metadata=_JSONL_ONLY)
-    merge_best_iteration: int | None = field(default=None, metadata=_JSONL_ONLY)
-    merge_training_lambda: float | None = field(default=None, metadata=_JSONL_ONLY)
+    release: dict | None = field(default=None, metadata=_JSONL_ONLY)
     # per-stage wall times; the exponential route's sampling counts as release
     release_stage_ms: float | None = field(default=None, metadata=_JSONL_ONLY)
     postprocess_stage_ms: float | None = field(default=None, metadata=_JSONL_ONLY)
@@ -274,7 +278,7 @@ def postprocess_stage(
         clustering = solve(released, solver_cfg)
     report: CoarsenReport | None = None
     if config.coarsen_enabled:
-        kp = config.coarsen_k or default_k_prime(released.n)
+        kp = default_k_prime(released.n) if config.coarsen_k is None else config.coarsen_k
         max_w = float(
             max(released.pos_w.max(initial=0.0), released.neg_w.max(initial=0.0))
         )
@@ -349,10 +353,7 @@ def run_pipeline(
         lambda_residual=audit.lambda_residual if audit else None,
         wall_ms=(t_end - t0) * 1000.0,  # includes evaluation
         coarsen_report=report.to_dict() if report is not None else None,
-        merge_iterations=audit.merge_iterations if audit else None,
-        merge_stop=audit.merge_stop if audit else None,
-        merge_best_iteration=audit.merge_best_iteration if audit else None,
-        merge_training_lambda=audit.merge_training_lambda if audit else None,
+        release=audit.audit_dict() if audit else None,
         release_stage_ms=(t_release - t0) * 1000.0,
         postprocess_stage_ms=(t_post - t_release) * 1000.0 if audit else None,
         evaluate_stage_ms=(t_end - t_post) * 1000.0,

@@ -132,11 +132,9 @@ def laplace_release(
     if noise_scale < 0:
         raise ContractViolation(f"noise scale must be >= 0, got {noise_scale}")
     vals = channel_weights.values
-    if noise_scale == 0:
-        noisy = vals.copy()
-    else:
-        noisy = vals + rng.laplace(0.0, noise_scale, size=vals.size)
-    return WeightedChannel(channel_weights.n, noisy)
+    if noise_scale != 0:
+        vals = vals + rng.laplace(0.0, noise_scale, size=vals.size)
+    return WeightedChannel(channel_weights.n, vals)
 
 
 # ---------------------------------------------------------------------------

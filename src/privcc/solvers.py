@@ -13,6 +13,10 @@ weight minus disagreement, so maximizing it selects the same partitions.
 Partitions are enumerated as restricted growth strings in lexicographic
 order; the first optimum in that order is returned, which makes
 tie-breaking deterministic.
+
+Nothing persists between calls: :func:`solve` prepares the negated net
+matrix once and hands it to each restart's pivot and local-search passes
+as an argument, and a call made without it prepares its own.
 """
 
 from __future__ import annotations
@@ -49,12 +53,6 @@ EXACT_LIMIT = 12
 
 # local search stops after this many sweeps of n moves
 _MAX_PASSES = 50
-
-# what solve() prepares once for the pivot and local-search passes of all
-# its restarts, by graph id: one negated net matrix and the rows each
-# vertex's move touches (see _prepare); solve() drops its entry when it
-# returns or raises, and a call outside solve() prepares its own
-_SOLVING: dict[int, _Prepared] = {}
 
 
 @dataclass(frozen=True)
@@ -136,19 +134,21 @@ def solve_exact(graph: SignedGraph, cfg: SolverConfig | None = None) -> Clusteri
 # Pivot greedy
 
 
-def pivot_kwikcluster(graph: SignedGraph, rng: np.random.Generator) -> Clustering:
+def pivot_kwikcluster(
+    graph: SignedGraph, rng: np.random.Generator, *, prepared: _Prepared | None = None
+) -> Clustering:
     """Random-pivot greedy clustering.
 
     Repeatedly picks a uniformly random unclustered vertex, forms a
     cluster from it and its unclustered positive neighbors, and removes
     them.  An edge counts as positive when its net weight (positive minus
     negative channel) is strictly greater than zero, so released graphs
-    with parallel edges feed in directly.
+    with parallel edges feed in directly.  ``prepared`` is
+    ``_prepare(graph)``, made here when not given.
     """
     n = graph.n
-    prepared = _SOLVING.get(id(graph))
     # the negated matrix is below 0 exactly where the net weight is above 0
-    positive = graph.net_matrix() > 0 if prepared is None else prepared.comargin < 0
+    positive = (prepared or _prepare(graph)).comargin < 0
     labels = np.full(n, -1, dtype=np.int64)
     next_label = 0
     for p in rng.permutation(n):
@@ -243,7 +243,11 @@ def _gains(
 
 
 def local_search(
-    graph: SignedGraph, start: Clustering, cfg: SolverConfig | None = None
+    graph: SignedGraph,
+    start: Clustering,
+    cfg: SolverConfig | None = None,
+    *,
+    prepared: _Prepared | None = None,
 ) -> Clustering:
     """Best-single-vertex-move hill climbing from ``start``.
 
@@ -277,6 +281,8 @@ def local_search(
     The move of a vertex with more than n/2 neighbours takes a full pass
     instead; on a complete graph every move is of that kind.  Every pass
     computes the same gains, so the moves are identical.
+
+    ``prepared`` is ``_prepare(graph)``, made here when not given.
     """
     cfg = cfg or SolverConfig()
     if start.n != graph.n:
@@ -285,9 +291,8 @@ def local_search(
     kmax = cfg.max_clusters if cfg.max_clusters is not None else n
     if start.k > kmax:
         raise ContractViolation(f"start has {start.k} clusters, limit is {kmax}")
-    prepared = _SOLVING.get(id(graph))
     # margin[v, c] = cost of v sitting in cluster c, up to a per-vertex constant
-    comargin, hub, near = _prepare(graph) if prepared is None else prepared
+    comargin, hub, near = prepared or _prepare(graph)
 
     rows = np.arange(n)
     labels = start.assignment.astype(np.int64)
@@ -436,20 +441,18 @@ def solve(graph: SignedGraph, cfg: SolverConfig | None = None) -> Clustering:
         return solve_exact(graph, cfg)
     best: Clustering | None = None
     best_err = np.inf
-    _SOLVING[id(graph)] = _prepare(graph)
-    try:
-        for restart in range(cfg.restarts):
-            rng = make_rng(cfg.seed, "pivot-restart", restart)
-            cand = pivot_kwikcluster(graph, rng)
-            if cfg.max_clusters is not None:
-                cand = cap_clusters(cand, cfg.max_clusters)
-            cand = local_search(graph, cand, cfg)
-            err = disagreement(cand, graph)
-            if err < best_err - 1e-12 or (
-                abs(err - best_err) <= 1e-12 and best is not None and cand.key() < best.key()
-            ):
-                best, best_err = cand, err
-    finally:
-        _SOLVING.pop(id(graph), None)
+    # one negated net matrix for the pivot and local-search passes of every restart
+    prepared = _prepare(graph)
+    for restart in range(cfg.restarts):
+        rng = make_rng(cfg.seed, "pivot-restart", restart)
+        cand = pivot_kwikcluster(graph, rng, prepared=prepared)
+        if cfg.max_clusters is not None:
+            cand = cap_clusters(cand, cfg.max_clusters)
+        cand = local_search(graph, cand, cfg, prepared=prepared)
+        err = disagreement(cand, graph)
+        if err < best_err - 1e-12 or (
+            abs(err - best_err) <= 1e-12 and best is not None and cand.key() < best.key()
+        ):
+            best, best_err = cand, err
     assert best is not None
     return best

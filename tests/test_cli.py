@@ -170,6 +170,26 @@ def test_unread_budget_flags_refused(argv):
     assert exc.value.code == 2
 
 
+def test_file_instance_is_labelled_alike_by_pipeline_and_matrix(tmp_path, capsys):
+    g_path = tmp_path / "graphs" / "g.txt"
+    g_path.parent.mkdir()
+    run(["generate", "--kind", "planted", "--n", "8", "--seed", "1", "--output", g_path])
+    assert run(["pipeline", "--input", g_path, "--seed", "2", "--format", "jsonl"]) == 0
+    from_pipeline = json.loads(capsys.readouterr().out)["instance"]
+    cfg = {
+        "instances": [{"kind": "file", "path": str(g_path)}],
+        "epsilons": [1.0],
+        "pipelines": [{"mechanism": "unweighted-laplace", "merge": {"iterations": 40}}],
+    }
+    cfg_path = tmp_path / "matrix.json"
+    cfg_path.write_text(json.dumps(cfg))
+    jsonl = tmp_path / "r.jsonl"
+    assert run(["matrix", "--config", cfg_path, "--output", tmp_path / "r.csv",
+                "--jsonl", jsonl]) == 0
+    from_matrix = json.loads(jsonl.read_text().splitlines()[0])["instance"]
+    assert from_pipeline == from_matrix == "file(g.txt)"
+
+
 def test_matrix_command(tmp_path):
     cfg = {
         "master_seed": 1,
@@ -242,6 +262,13 @@ def test_lowerbound_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "codeword,mean_err,frac_in_B,theory_bound"
     assert len(lines) == 5
+
+
+def test_generate_refuses_non_positive_edge_weight(capsys):
+    # a negative exponential scale used to end in numpy's traceback and exit 1
+    assert run(["generate", "--kind", "weighted-random", "--n", "6", "--edge-weight", "-1",
+                "--weight-dist", "exponential"]) == 2
+    assert "edge_weight" in capsys.readouterr().err
 
 
 def test_exit_codes(tmp_path):

@@ -74,6 +74,14 @@ class TestGenerate:
         with pytest.raises(ContractViolation):
             InstanceSpec(kind="planted", n=5, flip_prob=1.5)
 
+    @pytest.mark.parametrize("kind", ["path", "weighted-random"])
+    @pytest.mark.parametrize("weight", [0.0, -1.0, float("inf"), float("nan")])
+    def test_edge_weight_must_be_positive_and_finite(self, kind, weight):
+        # a negative exponential scale used to raise numpy's ValueError, and a
+        # non-positive unit or uniform weight to give a graph with no edges
+        with pytest.raises(ContractViolation, match="edge_weight"):
+            InstanceSpec(kind=kind, n=6, edge_weight=weight)
+
     def test_file_roundtrip(self, tmp_path):
         from privcc.io import write_edge_list
 
@@ -182,6 +190,12 @@ class TestPipeline:
             PipelineConfig(mechanism="exponential", engine="zero-noise-test")
         with pytest.raises(ContractViolation):
             PipelineConfig(engine="external:x")
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_coarsen_k_below_one_is_refused(self, k):
+        # 0 used to fall back to the default k', and -2 to fail every cell after its release
+        with pytest.raises(ContractViolation, match="coarsen_k"):
+            PipelineConfig(coarsen_k=k)
 
     def test_coarsening_caps_cluster_count(self):
         g, truth = generate_instance(
@@ -371,12 +385,14 @@ class TestMatrix:
         assert row["nonprivate_eval"] is True
         assert "wall_ms" in row and "wall_ms" not in CSV_HEADER
         jsonl_only = {
-            "wall_ms", "coarsen_report", "nonprivate_eval", "merge_iterations", "merge_stop",
-            "merge_best_iteration", "merge_training_lambda",
+            "wall_ms", "coarsen_report", "nonprivate_eval", "release",
             "release_stage_ms", "postprocess_stage_ms", "evaluate_stage_ms",
         }
         assert set(row) == set(CSV_HEADER.split(",")) | jsonl_only
-        assert 1 <= row["merge_iterations"] <= 60
-        assert row["merge_stop"] in ("patience", "budget")
-        assert 0 <= row["merge_best_iteration"] < row["merge_iterations"]
-        assert row["merge_training_lambda"] >= 0
+        release = row["release"]
+        assert 1 <= release["merge_iterations"] <= 60
+        assert release["merge_stop"] in ("patience", "budget")
+        assert 0 <= release["merge_best_iteration"] < release["merge_iterations"]
+        assert release["merge_training_lambda"] >= 0
+        assert release["private"] is True
+        assert release["lambda"] == row["lambda_residual"]

@@ -395,7 +395,6 @@ class TestSolve:
 
     def test_net_matrix_scattered_once_per_solve(self, monkeypatch):
         import privcc.graphs as graphs
-        import privcc.solvers as solvers
 
         calls = []
         scatter = graphs._symmetric
@@ -405,27 +404,8 @@ class TestSolve:
         g = random_graph(make_rng(17), 30, weighted=True, parallel=True)
         solve(g, SolverConfig(restarts=4))
         assert len(calls) == 1
-        assert not solvers._SOLVING  # the shared matrix is dropped on return
         pivot_kwikcluster(g, make_rng(1))  # on its own, each call scatters
         assert len(calls) == 2
-
-    def test_prepared_data_never_outlives_a_call(self, monkeypatch):
-        import privcc.solvers as solvers
-
-        g = random_graph(make_rng(21), 30, weighted=True, parallel=True)
-        solve(g, SolverConfig(restarts=2))
-        assert not solvers._SOLVING
-        local_search(g, Clustering.one_cluster(30))  # prepares its own
-        assert not solvers._SOLVING
-
-        def fail(*args):
-            assert id(g) in solvers._SOLVING
-            raise RuntimeError("stop")
-
-        monkeypatch.setattr(solvers, "local_search", fail)
-        with pytest.raises(RuntimeError):
-            solve(g)
-        assert not solvers._SOLVING
 
     def test_pivot_reads_the_prepared_matrix_alike(self):
         import privcc.solvers as solvers
@@ -438,13 +418,16 @@ class TestSolve:
         graphs.append(SignedGraph.from_edges(3, [(0, 1, 1, 2.0), (0, 1, -1, 2.0),
                                                  (1, 2, 1, 1.0)]))
         for g in graphs:
+            prepared = solvers._prepare(g)
+            assert np.array_equal(prepared.comargin < 0, g.net_matrix() > 0)
             alone = [pivot_kwikcluster(g, make_rng(23, r)) for r in range(5)]
-            solvers._SOLVING[id(g)] = solvers._prepare(g)
-            try:
-                shared = [pivot_kwikcluster(g, make_rng(23, r)) for r in range(5)]
-            finally:
-                del solvers._SOLVING[id(g)]
+            shared = [pivot_kwikcluster(g, make_rng(23, r), prepared=prepared)
+                      for r in range(5)]
             assert shared == alone
+            # local search, too, climbs alike from each pivot start
+            assert [local_search(g, c, prepared=prepared) for c in alone] == [
+                local_search(g, c) for c in alone
+            ]
 
     def test_deterministic(self):
         rng = make_rng(15)
