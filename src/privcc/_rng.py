@@ -5,7 +5,9 @@ Every randomized routine in this package takes an explicit
 counter-based generator, which is keyed (not state-seeded): the key is the
 pair ``(seed, stream_id)``, so independent substreams are derived without
 any jump-ahead bookkeeping and the mapping from labels to streams is
-portable across machines and languages that ship Philox4x64.
+portable across machines and languages that ship Philox4x64.  One
+routine jumps: the merge's audit draws from ``jumped()`` of the stream it
+is handed, so its draws leave that stream where it was.
 
 Stream ids are folded from structured labels with 64-bit FNV-1a
 (offset basis 0xcbf29ce484222325, prime 0x100000001b3), integers encoded

@@ -98,8 +98,8 @@ class InstanceSpec:
             raise ContractViolation("need n >= 2")
         if not 0 <= self.flip_prob <= 1:
             raise ContractViolation("flip_prob must be in [0, 1]")
-        if self.kind == "planted" and self.clusters < 1:
-            raise ContractViolation("planted clusters must be >= 1")
+        if self.kind == "planted" and not 1 <= self.clusters <= self.n:
+            raise ContractViolation(f"planted clusters must be in [1, n], got {self.clusters}")
         if self.weight_dist not in ("unit", "uniform", "exponential"):
             raise ContractViolation(f"unknown weight_dist {self.weight_dist!r}")
         if not 0 < self.density <= 1:

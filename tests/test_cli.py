@@ -271,6 +271,11 @@ def test_generate_refuses_non_positive_edge_weight(capsys):
     assert "edge_weight" in capsys.readouterr().err
 
 
+def test_generate_refuses_more_clusters_than_vertices(capsys):
+    assert run(["generate", "--kind", "planted", "--n", "4", "--k", "10"]) == 2
+    assert "clusters" in capsys.readouterr().err
+
+
 def test_exit_codes(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("2 1\n0 1 + -3\n")  # negative weight: contract violation

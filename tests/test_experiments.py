@@ -82,6 +82,14 @@ class TestGenerate:
         with pytest.raises(ContractViolation, match="edge_weight"):
             InstanceSpec(kind=kind, n=6, edge_weight=weight)
 
+    @pytest.mark.parametrize("clusters", [5, 10])
+    def test_planted_clusters_at_most_n(self, clusters):
+        # more clusters than vertices cannot be planted: n singletons would carry a k=10 label
+        with pytest.raises(ContractViolation, match="clusters"):
+            InstanceSpec(kind="planted", n=4, clusters=clusters)
+        spec = InstanceSpec(kind="planted", n=4, clusters=4)
+        assert generate_instance(spec)[1].k == 4
+
     def test_file_roundtrip(self, tmp_path):
         from privcc.io import write_edge_list
 

@@ -25,8 +25,9 @@ from privcc.release_unweighted import (
     MergeConfig,
     _blocked_sums,
     _max_violation,
+    _packed_set_pairs,
     _sample_set_pairs,
-    _set_pair_blocks,
+    _unpacked_blocks,
     laplace_release,
     release_unweighted,
     round_to_signed,
@@ -119,8 +120,9 @@ def dense_gradient_merge(wplus, wminus, budget, rng, iterations):
     tp, tm = rows.sums(wp_mat), rows.sums(wm_mat)
     best_lam, best_x, stale, run = np.inf, x_mat.copy(), 0, 0
     for t in range(1, iterations + 1):
+        xp, cs = x_mat[iu, iv], rows.sums(x_mat)
         lam, kind, idx, signed = _max_violation(
-            x_mat[iu, iv], wp, wm, rows.sums(x_mat), rows.sizes, tp, tm
+            xp - wp, (1.0 - xp) - wm, cs - tp, (rows.sizes - cs) - tm
         )
         if not np.isfinite(best_lam) or lam < best_lam - 1e-6 * max(best_lam, 1.0):
             best_lam, best_x, stale = lam, x_mat.copy(), 0
@@ -268,7 +270,7 @@ class TestMerge:
         tp, tm = rows.sums(noisy_p.matrix()), rows.sums(noisy_m.matrix())
         cs = rows.sums(WeightedChannel(30, lp.x).matrix())
         lam, _, _, _ = _max_violation(
-            lp.x, noisy_p.values, noisy_m.values, cs, rows.sizes, tp, tm
+            lp.x - noisy_p.values, (1.0 - lp.x) - noisy_m.values, cs - tp, (rows.sizes - cs) - tm
         )
         assert lp.training_lambda == pytest.approx(lam, rel=1e-9)
         per_edge = solve_merge_lp(noisy_p, noisy_m, None, make_rng(30), strategy="per-edge")
@@ -369,6 +371,42 @@ def row_loop_set_pairs(n, budget, rng):
     return s_rows, t_rows
 
 
+def packed_family_reference(n, budget, rng):
+    """``_packed_set_pairs`` drawn in its stream order, its bits read plainly, unpacked whole."""
+    width = -(-n // 8)
+    coloured = rng.random(budget) >= 0.5
+    s_bytes = rng.integers(0, 256, size=(2 * budget, width), dtype=np.uint8)
+    t_bytes = rng.integers(0, 256, size=(budget, width), dtype=np.uint8)
+    colours = iter(rng.integers(0, 3, size=(int(coloured.sum()), n), dtype=np.int8))
+
+    def bits(b):  # most significant bit first, as numpy.packbits lays them out
+        return ((b[:, :, None] >> np.arange(7, -1, -1)) & 1).reshape(b.shape[0], -1)[:, :n] > 0
+
+    s_rows = bits(s_bytes)
+    t_rows = np.zeros_like(s_rows)
+    t_rows[:budget] = bits(t_bytes)
+    for i in np.flatnonzero(coloured):
+        z = next(colours)
+        s_rows[i], t_rows[i] = z == 0, z == 1
+    t_rows[budget:] = ~s_rows[budget:]
+    return s_rows, t_rows
+
+
+def audit_stream(rng):
+    """The stream the merge's audit draws from when ``rng`` is in this state."""
+    return np.random.Generator(rng.bit_generator.jumped())
+
+
+def three_product_lambda(sol, wp, wm, s_rows, t_rows):
+    """The audit as one whole family with cut sums of x, W+ and W- taken apart."""
+    x, rows = sol.x, CutRows(s_rows, t_rows)
+    x_mat = WeightedChannel(wp.n, x).matrix()
+    cs, tp, tm = (rows.sums(m) for m in (x_mat, wp.matrix(), wm.matrix()))
+    return _max_violation(
+        x - wp.values, (1.0 - x) - wm.values, cs - tp, (rows.sizes - cs) - tm
+    )[0]
+
+
 def integer_channel(rng, n):
     # integer weights keep every cut sum exact, whatever the BLAS blocking
     return WeightedChannel(n, rng.integers(-3, 4, size=n * (n - 1) // 2).astype(float))
@@ -395,16 +433,35 @@ class TestAudit:
     def test_blocks_match_one_draw(self, block):
         # budgets 3 and 10 put the mixed/complement boundary inside a block
         # of 7, and every budget in BUDGETS inside a block of _AUDIT_BLOCK;
-        # the reference is the row loop that _sample_set_pairs is checked on
-        for n in (1, 2, 13):
+        # n = 1, 2 and 13 leave padding bits in the last byte, n = 16 none
+        for n in (1, 2, 13, 16):
             for budget in (1, 3, 10) + self.BUDGETS:
                 rng, ref = make_rng(budget + n), make_rng(budget + n)
-                blocks = list(_set_pair_blocks(n, budget, rng, block))
-                want = row_loop_set_pairs(n, budget, ref)
-                assert all(s.shape[0] == block for s, _ in blocks[:-1])
+                blocks = list(_unpacked_blocks(*_packed_set_pairs(n, budget, rng), n, block))
+                want = packed_family_reference(n, budget, ref)
+                assert all(s.shape == (block, n) for s, _ in blocks[:-1])
                 assert np.array_equal(np.concatenate([s for s, _ in blocks]), want[0])
                 assert np.array_equal(np.concatenate([t for _, t in blocks]), want[1])
                 assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+
+    @pytest.mark.parametrize("n", [13, 64])
+    def test_packed_family_is_the_sampled_family(self, n):
+        budget = 1500
+        bits = _packed_set_pairs(n, budget, make_rng(90 + n))
+        s_rows, t_rows = next(_unpacked_blocks(*bits, n, 2 * budget))
+        coloured = make_rng(90 + n).random(budget) >= 0.5  # the coins come first
+        bernoulli = np.flatnonzero(~coloured)
+        assert np.array_equal(t_rows[budget:], ~s_rows[budget:])
+        assert not np.any(s_rows[:budget][coloured] & t_rows[:budget][coloured])
+
+        def within_4_sd(hits, trials, p):
+            return abs(hits - p * trials) <= 4 * math.sqrt(trials * p * (1 - p))
+
+        assert within_4_sd(coloured.sum(), budget, 0.5)
+        for mask in (s_rows[bernoulli], t_rows[bernoulli], s_rows[budget:]):
+            assert within_4_sd(mask.sum(), mask.size, 0.5)
+        for mask in (s_rows[:budget][coloured], t_rows[:budget][coloured]):
+            assert within_4_sd(mask.sum(), mask.size, 1 / 3)
 
     @pytest.mark.parametrize("n", [1, 2, 9])
     def test_blocked_sums_match_one_family(self, n):
@@ -431,13 +488,30 @@ class TestAudit:
         pairs = n * (n - 1) // 2
         for budget in self.BUDGETS:
             sol = solve_merge_lp(wp, wm, budget, make_rng(budget), strategy="per-edge")
-            rows = CutRows(*_sample_set_pairs(n, budget, make_rng(budget)))
-            x_mat = WeightedChannel(n, sol.x).matrix()
-            cs, tp, tm = (rows.sums(m) for m in (x_mat, wp.matrix(), wm.matrix()))
-            lam, _, _, _ = _max_violation(sol.x, wp.values, wm.values, cs, rows.sizes, tp, tm)
-            assert sol.lam == lam
+            s_rows, t_rows = packed_family_reference(n, budget, audit_stream(make_rng(budget)))
+            # integer channels keep every cut sum exact, so two products give
+            # the three-product lambda bit for bit
+            assert sol.lam == three_product_lambda(sol, wp, wm, s_rows, t_rows)
             # every pair twice and every audit row twice, as before blocking
             assert sol.constraints_checked == 2 * pairs + 4 * budget
+
+    @pytest.mark.parametrize("strategy", ["per-edge", "sampled-lp"])
+    def test_two_products_match_three(self, strategy):
+        n, budget = 37, 40
+        rng = make_rng(85)
+        g = random_graph(rng, n, complete=True)
+        noisy = [laplace_release(ch, 2.0, rng) for ch in indicator_channels(g)]
+        for wp, wm, exact in (
+            (integer_channel(rng, n), integer_channel(rng, n), True),
+            (*noisy, False),
+        ):
+            sol = solve_merge_lp(wp, wm, budget, make_rng(86), iterations=30, strategy=strategy)
+            ref = make_rng(86)
+            if strategy == "sampled-lp":
+                _sample_set_pairs(n, budget, ref)  # the training draws come before the jump
+            family = packed_family_reference(n, budget, audit_stream(ref))
+            want = three_product_lambda(sol, wp, wm, *family)
+            assert sol.lam == (want if exact else pytest.approx(want, rel=1e-12))
 
 
 class TestRounding:
@@ -512,6 +586,22 @@ class TestReleaseUnweighted:
             "lambda", "merge_strategy", "constraints_checked", "seed", "private",
             "merge_iterations", "merge_stop", "merge_best_iteration", "merge_training_lambda",
         }
+
+    def test_released_graph_does_not_depend_on_the_audit(self):
+        # the audit draws from a stream of its own, so its budget moves
+        # only lambda; the per-edge x and the rounding are the same
+        graph, _ = generate_instance(
+            InstanceSpec(kind="planted", n=40, clusters=4, flip_prob=0.05, seed=3)
+        )
+        outs = [
+            release_unweighted(
+                graph, PrivacyParams(1.0), MergeConfig(strategy="per-edge", constraint_budget=b),
+                make_rng(68),
+            )
+            for b in (1, None)
+        ]
+        assert outs[0][0].pos_w.tobytes() == outs[1][0].pos_w.tobytes()
+        assert outs[0][1].constraints_checked < outs[1][1].constraints_checked
 
     def test_preconditions(self):
         rng = make_rng(67)
