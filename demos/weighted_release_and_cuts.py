@@ -1,6 +1,6 @@
-"""Weighted/incomplete release: per-pair Laplace noise on the net channels.
+"""Weighted/incomplete release: per-pair Laplace noise on the net weights.
 
-Releases a sparse weighted graph channel by channel, then audits how far
+Releases a sparse weighted graph in one noise draw, then audits how far
 the released cuts drift from the truth, and checks the error-transfer
 bound: for any k-clustering the objective moves by at most k times the
 summed cut distances.
@@ -30,7 +30,7 @@ print(f"== input: n={graph.n}, {graph.edge_count} weighted edges, "
 
 released, audit = release_weighted(graph, params, "laplace", rng, seed=31)
 print("released through:", audit.mechanism)
-print("per-channel budgets:", audit.channel_budgets,
+print("budget:", audit.channel_budgets,
       " noise scale:", audit.noise_scale)
 print("released edges:", released.edge_count,
       " total weight:", round(released.total_weight, 1),

@@ -25,7 +25,7 @@ from .graphs import (
 )
 from .io import format_edge_list, read_edge_list, write_edge_list
 from .release_unweighted import MergeConfig
-from .release_weighted import net_channels, sampled_cut_distance
+from .release_weighted import sampled_cut_distance, sign_channels
 from .expmech import exact_output_distribution, exponential_mechanism
 from .experiments import (
     CSV_HEADER,
@@ -228,7 +228,8 @@ def _cmd_audit_cuts(args) -> int:
     config = PipelineConfig(mechanism="weighted-laplace", engine=args.engine)
     released, _ = release_stage(graph, params, config, args.seed)
     report = {}
-    for sign, name, channel in zip((1, -1), ("plus", "minus"), net_channels(graph)):
+    net = graph.channel_flat(1) - graph.channel_flat(-1)
+    for sign, name, channel in zip((1, -1), ("plus", "minus"), sign_channels(net)):
         a = WeightedChannel(graph.n, channel)
         b = WeightedChannel(graph.n, released.channel_flat(sign))
         report[f"cut_distance_{name}"] = sampled_cut_distance(

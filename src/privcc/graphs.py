@@ -318,6 +318,8 @@ class Clustering:
         labels = np.full(n, -1, dtype=np.int64)
         for cid, members in enumerate(sets):
             for v in members:
+                if not 0 <= v < n:
+                    raise ContractViolation(f"vertex {v} is not in 0..{n - 1}")
                 if labels[v] != -1:
                     raise ContractViolation(f"vertex {v} assigned twice")
                 labels[v] = cid

@@ -1,17 +1,16 @@
 """Private release of weighted or incomplete signed graphs.
 
-The mechanism splits the input into the sign channels ``max(net, 0)``
-and ``max(-net, 0)`` of its net (positive minus negative) pair weights,
-adds per-pair Laplace noise to each at half the privacy budget, zeroes
-weights below ``scale * ln(n)``, and reunites the outputs as a graph
-that may carry one positive and one negative edge per pair.
+The mechanism adds Lap(2/eps) once to the net weight ``W+ - W-`` of every
+pair, zeroes the entries below ``2 ln(n) / eps`` in magnitude, and splits
+the rest by sign into a graph with at most one edge per pair.  The net
+weights are exactly what ``neighbor_distance`` measures, so the
+sensitivity equals the neighbour bound of 2 and the draw spends all of eps.
 
-For any clustering into k clusters the disagreement (and agreement)
-between the graph of those two channels and the output differ by at most
-``k * (cut_distance(minus channels) + cut_distance(plus channels))``,
-so the release's cut error translates directly into an objective error
-bound; the input itself differs from that graph by ``sum(min(pos, neg))``
-on every clustering alike.
+The objective-transfer bound keeps its form: for any clustering into k
+clusters the disagreement (and agreement) between the sign-split input
+net and the output differ by at most ``k * (cut_distance(minus channels)
++ cut_distance(plus channels))``; the input itself differs from its
+sign-split net by ``sum(min(pos, neg))`` on every clustering alike.
 
 The threshold is post-processing, so privacy is unaffected.  Without it
 the noise floor alone would inflate every cut by order n^2; with it,
@@ -38,23 +37,23 @@ from .graphs import (
 from .release_unweighted import laplace_release
 
 __all__ = [
-    "net_channels",
     "release_weighted",
     "sampled_cut_distance",
+    "sign_channels",
 ]
 
-# neighbours are at ``neighbor_distance`` <= 2 (net weights at L1 distance 2),
-# and each net channel is 1-Lipschitz in the net weights: it moves by <= 2 in L1
+# The neighbour notion and sensitivity of this route: neighbours are graphs at
+# ``neighbor_distance`` <= 2, i.e. whose per-pair net weights differ by at most
+# 2 in L1, and the route releases exactly those net weights.
 CHANNEL_SENSITIVITY = 2.0
 
 
-def net_channels(graph: SignedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """The flat channels ``max(net, 0)`` and ``max(-net, 0)`` that are released.
+def sign_channels(net: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flat channels ``max(net, 0)`` and ``max(-net, 0)`` of a net vector.
 
-    Releasing these instead of the raw channels bounds the sensitivity: the
-    raw channels of a pair can move arbitrarily at net distance 0.
+    A pair carries weight in at most one of them.  The release splits its
+    noisy net weights this way, and ``privcc audit-cuts`` the input's.
     """
-    net = graph.channel_flat(1) - graph.channel_flat(-1)
     return np.maximum(net, 0.0), np.maximum(-net, 0.0)
 
 
@@ -67,28 +66,24 @@ def release_weighted(
 ) -> tuple[SignedGraph, ReleaseOutput]:
     """eps-DP release of a weighted signed graph.
 
-    Each net-canonical channel gets Lap(``CHANNEL_SENSITIVITY / (eps/2)``)
-    per pair under ``engine`` (one of :data:`~privcc.graphs.ENGINES`), plus
-    channel first; weights below ``scale * ln(max(n, 2))`` are zeroed.  The
-    outputs recombine with their signs, possibly giving parallel pairs.
-    The route is pure Laplace, so the audit records delta 0 whatever
-    ``params.delta`` asks for.
+    The net weights get Lap(``CHANNEL_SENSITIVITY / eps``) per pair under
+    ``engine`` (one of :data:`~privcc.graphs.ENGINES`) in one draw; entries
+    with magnitude below ``scale * ln(max(n, 2))`` are zeroed, and the rest
+    become a positive or a negative edge by their sign.  The route is pure
+    Laplace, so the audit records delta 0 whatever ``params.delta`` asks for.
     """
-    half = params.split(2)
-    scale = laplace_scale(engine, CHANNEL_SENSITIVITY, half.epsilon)
+    scale = laplace_scale(engine, CHANNEL_SENSITIVITY, params.epsilon)
     n = graph.n
-    tau = scale * math.log(max(n, 2))
-    out = []
-    for channel in net_channels(graph):
-        noisy = laplace_release(WeightedChannel(n, channel), scale, rng).values
-        out.append(np.where(noisy >= tau, noisy, 0.0))
-    released = SignedGraph.from_channel_arrays(n, *out)
+    net = WeightedChannel(n, graph.channel_flat(1) - graph.channel_flat(-1))
+    noisy = laplace_release(net, scale, rng).values
+    kept = np.where(np.abs(noisy) >= scale * math.log(max(n, 2)), noisy, 0.0)
+    released = SignedGraph.from_channel_arrays(n, *sign_channels(kept))
     audit = ReleaseOutput(
         mechanism=f"weighted-{engine}",
         epsilon=params.epsilon,
         delta=0.0,  # pure Laplace: a requested delta is not spent
         noise_scale=scale,
-        channel_budgets=(half.epsilon, half.epsilon),
+        channel_budgets=(params.epsilon,),
         seed=seed,
         private=scale > 0,
     )

@@ -14,11 +14,12 @@ series), so edge probabilities are exact to float precision; no
 truncation is involved.  The output distribution over the 2^pairs sign
 patterns is the product of per-edge Bernoullis.
 
-The weighted release keeps a noisy coordinate when it reaches the
-threshold and zeroes it otherwise.  On grid-valued input its output per
-coordinate is a grid point at or above the threshold, or 0 carrying all
-the mass below it; the coordinates are independent, so the worst log
-ratio over whole outputs is the sum of the per-coordinate worst ratios.
+The weighted release keeps a noisy net weight when its magnitude reaches
+the threshold and zeroes it otherwise.  On grid-valued input its output
+per coordinate is a grid point at or beyond the threshold on either side,
+or 0 carrying all the mass strictly between; the coordinates are
+independent, so the worst log ratio over whole outputs is the sum of the
+per-coordinate worst ratios.
 """
 
 import numpy as np
@@ -91,28 +92,23 @@ def _log_noise_pmf(k: np.ndarray, b: float, h: float = GRID) -> np.ndarray:
     return np.log((1 - r) / (1 + r)) - np.abs(k) * h / b
 
 
-def _log_noise_cdf(k: int, b: float, h: float = GRID) -> float:
-    """log P(z <= k*h) for one two-sided geometric."""
-    r = np.exp(-h / b)
-    if k < 0:
-        return float(-k * np.log(r) - np.log1p(r))
-    return float(np.log1p(-(r ** (k + 1)) / (1 + r)))
-
-
 def thresholded_log_pmf(
     x: float, b: float, tau: float, top: int, h: float = GRID
 ) -> np.ndarray:
     """Log output distribution of one weighted-release coordinate.
 
-    The coordinate releases ``x + z`` when that reaches ``tau`` and 0
+    The coordinate releases ``x + z`` when ``|x + z|`` reaches ``tau`` and 0
     otherwise; ``x`` and ``tau > 0`` as in the mechanism, ``x`` on the grid.
-    Entry 0 is the lumped mass at 0; entry i >= 1 is the output
-    ``(j0 + i - 1) * h`` for ``j0 = ceil(tau / h)``, up to ``top * h``.
+    Entry 0 is the lumped mass at 0; the others are the outputs ``j * h``
+    for ``j0 <= |j| <= max(top, j0)``, ``j0 = ceil(tau / h)``, negative first.
     """
     kx = int(round(x / h))
     j0 = int(np.ceil(tau / h))
-    js = np.arange(j0, max(top, j0) + 1)
-    return np.concatenate([[_log_noise_cdf(j0 - 1 - kx, b, h)], _log_noise_pmf(js - kx, b, h)])
+    up = np.arange(j0, max(top, j0) + 1)
+    inside = _log_noise_pmf(np.arange(1 - j0, j0) - kx, b, h)
+    peak = inside.max()
+    zero = peak + np.log(np.exp(inside - peak).sum())
+    return np.concatenate([[zero], _log_noise_pmf(np.concatenate([-up[::-1], up]) - kx, b, h)])
 
 
 def thresholded_worst_log_ratio(
@@ -121,14 +117,15 @@ def thresholded_worst_log_ratio(
     """Exact max over outputs of |log P(out | xs) - log P(out | ys)|.
 
     ``xs`` and ``ys`` are the grid-valued coordinates two inputs feed the
-    noise.  Above ``max(x, y)`` every output has the same ratio, so grid
-    points up to one step past it cover every value the ratio takes.
+    noise.  Beyond ``max(|x|, |y|)`` on either side every output has the
+    same ratio, so grid points up to one step past it cover every value the
+    ratio takes.
     """
     fwd = back = 0.0
     for x, y in zip(xs, ys):
         if x == y:
             continue
-        top = int(round(max(x, y) / h)) + 1
+        top = int(round(max(abs(x), abs(y)) / h)) + 1
         lr = thresholded_log_pmf(x, b, tau, top, h) - thresholded_log_pmf(y, b, tau, top, h)
         fwd += float(lr.max())
         back += float(-lr.min())

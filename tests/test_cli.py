@@ -7,7 +7,7 @@ from privcc._rng import make_rng
 from privcc.cli import main
 from privcc.experiments import PipelineConfig
 from privcc.io import read_edge_list
-from privcc.release_weighted import net_channels, sampled_cut_distance
+from privcc.release_weighted import sampled_cut_distance, sign_channels
 
 
 def run(args):
@@ -89,7 +89,8 @@ def test_audit_cuts_audits_the_release_privcc_release_writes(tmp_path):
                 "--output", out]) == 0
     report = json.loads(out.read_text())
     g, h = read_edge_list(g_path), read_edge_list(h_path)
-    for sign, name, channel in zip((1, -1), ("plus", "minus"), net_channels(g)):
+    net = g.channel_flat(1) - g.channel_flat(-1)
+    for sign, name, channel in zip((1, -1), ("plus", "minus"), sign_channels(net)):
         want = sampled_cut_distance(
             WeightedChannel(g.n, channel), WeightedChannel(g.n, h.channel_flat(sign)),
             32, make_rng(4, "audit-cuts", name),

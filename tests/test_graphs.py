@@ -259,6 +259,12 @@ class TestTypes:
         with pytest.raises(ContractViolation):
             Clustering.from_sets(3, [[0, 1]])
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_clustering_from_sets_refuses_ids_outside_range(self, bad):
+        # -1 used to wrap to the last vertex, 3 to raise numpy's IndexError
+        with pytest.raises(ContractViolation, match="not in 0..2"):
+            Clustering.from_sets(3, [[0, 1], [bad]])
+
     def test_graph_arrays_immutable(self):
         g = triangle()
         with pytest.raises(ValueError):

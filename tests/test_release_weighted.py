@@ -13,6 +13,7 @@ from privcc import (
     neighbor_distance,
 )
 from privcc._rng import make_rng
+from privcc.experiments import InstanceSpec, generate_instance
 from privcc.release_unweighted import laplace_release, release_unweighted
 from privcc.release_weighted import release_weighted, sampled_cut_distance
 
@@ -43,27 +44,24 @@ def star_graph(n, weight=1.0):
 
 
 def reference_release_weighted(graph, params, engine, rng, seed=None):
-    """The per-channel rule written out: net channels, Lap(2 / (eps/2)) on the
-    plus channel then the minus channel, then zero below ``scale * ln max(n, 2)``."""
-    half = params.epsilon / 2
+    """The one-draw rule written out: Lap(2 / eps) on the net weights, zero
+    below ``scale * ln max(n, 2)`` in magnitude, then split by sign."""
     zero = engine == "zero-noise-test"
-    scale = 0.0 if zero else 2.0 / half
+    scale = 0.0 if zero else 2.0 / params.epsilon
     net = graph.channel_flat(1) - graph.channel_flat(-1)
-    out = []
-    for channel in (np.maximum(net, 0.0), np.maximum(-net, 0.0)):
-        if zero:
-            out.append(channel)
-            continue
-        noisy = channel + rng.laplace(0.0, scale, size=channel.size)
-        tau = scale * math.log(max(graph.n, 2))
-        out.append(np.where(noisy >= tau, noisy, 0.0))
-    released = SignedGraph.from_channel_arrays(graph.n, *out)
+    if not zero:
+        net = net + rng.laplace(0.0, scale, size=net.size)
+    tau = scale * math.log(max(graph.n, 2))
+    net = np.where(np.abs(net) >= tau, net, 0.0)
+    released = SignedGraph.from_channel_arrays(
+        graph.n, np.maximum(net, 0.0), np.maximum(-net, 0.0)
+    )
     audit = ReleaseOutput(
         mechanism=f"weighted-{engine}",
         epsilon=params.epsilon,
         delta=0.0,
         noise_scale=scale,
-        channel_budgets=(half, half),
+        channel_budgets=(params.epsilon,),
         seed=seed,
         private=not zero,
     )
@@ -89,8 +87,8 @@ class TestEngines:
         g = random_graph(rng, 30, weighted=True, density=0.3)
         h, audit = release_weighted(g, PrivacyParams(1.0), "laplace", rng)
         assert np.all(h.pos_w >= 0) and np.all(h.neg_w >= 0)
-        assert audit.channel_budgets == (0.5, 0.5)
-        assert audit.noise_scale == 4.0  # 2 / (eps/2)
+        assert audit.channel_budgets == (1.0,)
+        assert audit.noise_scale == 2.0  # 2 / eps
 
     def test_laplace_raw_unbiased_per_cut(self):
         # star graph: raw noisy weights are unbiased on any pair set
@@ -154,6 +152,17 @@ class TestEngines:
         for sign in (1, -1):
             assert h.channel_flat(sign).tobytes() == h_canon.channel_flat(sign).tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_release_has_no_parallel_pairs(self, seed):
+        # heavy exponential weights: noising each sign channel on its own gave
+        # 10-14 pairs with both channels above the threshold on these inputs
+        spec = InstanceSpec(kind="weighted-random", n=300, weight_dist="exponential",
+                            edge_weight=40, density=0.3, seed=seed)
+        g, _ = generate_instance(spec)
+        h, _ = release_weighted(g, PrivacyParams(1.0), "laplace", make_rng(seed))
+        assert h.edge_count > 0
+        assert not np.any((h.pos_w > 0) & (h.neg_w > 0))
+
 
 class TestExactDP:
     def test_canonical_route_exact_dp_on_grid(self):
@@ -165,7 +174,6 @@ class TestExactDP:
         m = n * (n - 1) // 2
         for eps in (0.5, 1.0, 3.0):
             params = PrivacyParams(eps)
-            worst_seen = 0.0
             for _ in range(8):
                 pos = np.where(rng.random(m) < 0.6, rng.integers(1, 3 * grid, m), 0) / grid
                 neg = np.where(rng.random(m) < 0.6, rng.integers(1, 3 * grid, m), 0) / grid
@@ -174,7 +182,7 @@ class TestExactDP:
                 _, audit = release_weighted(g, params, "laplace", make_rng(89))
                 b = audit.noise_scale
                 tau = b * math.log(n)
-                neighbors = []
+                xs = _released_net(g, params)
                 for trial in range(12):
                     p, q = pos.copy(), neg.copy()
                     e = int(rng.integers(m))
@@ -193,21 +201,17 @@ class TestExactDP:
                             q[f] -= shift
                     h = SignedGraph.from_channel_arrays(n, p, q)
                     assert neighbor_distance(g, h) <= 2.0
-                    neighbors.append(h)
-                # the zero-noise engine returns exactly what the noise is added to
-                xs = _noised_coordinates(g, params)
-                for h in neighbors:
-                    ys = _noised_coordinates(h, params)
+                    ys = _released_net(h, params)
                     worst = dp_harness.thresholded_worst_log_ratio(xs, ys, b, tau)
                     assert worst <= eps + 1e-9
-                    worst_seen = max(worst_seen, worst)
-            # at 2 / (eps/2) per channel a distance-2 neighbour spends eps / 2
-            assert worst_seen == pytest.approx(eps / 2, rel=1e-9)
+                    if trial == 0:  # Lap(2 / eps) on the net: that neighbour spends all of eps
+                        assert worst == pytest.approx(eps, rel=1e-9)
 
 
-def _noised_coordinates(graph, params):
+def _released_net(graph, params):
+    # the zero-noise engine (tau = 0) returns exactly the net the noise is added to
     h, _ = release_weighted(graph, params, "zero-noise-test", make_rng(90))
-    return np.concatenate([h.channel_flat(1), h.channel_flat(-1)])
+    return h.channel_flat(1) - h.channel_flat(-1)
 
 
 class TestCutDistance:
