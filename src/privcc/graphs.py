@@ -15,7 +15,9 @@ or caller holds them.
 
 All types are immutable after construction (backing arrays are marked
 read-only) and every operation in this module is a pure function, so
-values can be shared freely across threads.
+values can be shared freely across threads.  Public constructors copy the
+arrays a caller passes; an array a constructor has just built itself is
+kept, not copied again.
 
 Weights are float64.  Integer-valued weights stay exact under summation
 well past desk scale (sums are exact below 2**53), so the conservation
@@ -126,6 +128,10 @@ class SignedGraph:
         pos_w: np.ndarray,
         neg_w: np.ndarray,
     ):
+        self._keep(n, pair_u, pair_v, np.array(pos_w, np.float64), np.array(neg_w, np.float64))
+
+    def _keep(self, n, pair_u, pair_v, pw: np.ndarray, nw: np.ndarray) -> None:
+        """Check the arrays and keep them read-only; the weights are not copied."""
         n = int(n)
         if n < 1:
             raise ContractViolation(f"need at least one vertex, got n={n}")
@@ -134,10 +140,8 @@ class SignedGraph:
         if canonical:
             u, v = shared  # the shared index itself: nothing to copy or check
         else:
-            u = np.asarray(pair_u, dtype=np.int64).copy()
-            v = np.asarray(pair_v, dtype=np.int64).copy()
-        pw = np.asarray(pos_w, dtype=np.float64).copy()
-        nw = np.asarray(neg_w, dtype=np.float64).copy()
+            u = np.array(pair_u, np.int64)
+            v = np.array(pair_v, np.int64)
         if not (u.shape == v.shape == pw.shape == nw.shape) or u.ndim != 1:
             raise ContractViolation("edge arrays must be 1-d and equally long")
         if u.size and not canonical:
@@ -156,7 +160,8 @@ class SignedGraph:
         if (pw < 0).any() or (nw < 0).any():
             raise ContractViolation("weights must be non-negative")
         self.n = n
-        self.complete = u.size == n * (n - 1) // 2 and bool(np.all(pw + nw > 0))
+        # the weights are non-negative, so a pair carries weight where either does
+        self.complete = u.size == n * (n - 1) // 2 and bool(np.all((pw > 0) | (nw > 0)))
         self.pair_u = _readonly(u)
         self.pair_v = _readonly(v)
         self.pos_w = _readonly(pw)
@@ -206,9 +211,10 @@ class SignedGraph:
         (that of ``numpy.triu_indices(n, 1)``); true marks a positive edge,
         false a negative one.
         """
-        pu, pv = canonical_pairs(n)
         pos = np.asarray(positive, dtype=bool).astype(np.float64)
-        return cls(n, pu, pv, pos, 1.0 - pos)
+        graph = cls.__new__(cls)  # keeps its two fresh arrays, not copies
+        graph._keep(n, *canonical_pairs(n), pos, 1.0 - pos)
+        return graph
 
     @classmethod
     def from_channel_arrays(
@@ -370,8 +376,22 @@ class WeightedChannel:
     __slots__ = ("n", "values")
 
     def __init__(self, n: int, values: np.ndarray):
+        self._keep(n, np.array(values, np.float64))
+
+    @classmethod
+    def adopt(cls, n: int, values: np.ndarray) -> "WeightedChannel":
+        """A channel that keeps ``values`` itself, where the constructor copies.
+
+        For a float64 array its caller has just built and hands over, or
+        one already read-only that nothing writes to: the array is marked
+        read-only, so the caller's own reference cannot write to it either.
+        """
+        channel = cls.__new__(cls)
+        channel._keep(n, np.asarray(values, np.float64))
+        return channel
+
+    def _keep(self, n: int, values: np.ndarray) -> None:
         n = int(n)
-        values = np.asarray(values, dtype=np.float64).copy()
         if values.shape != (n * (n - 1) // 2,):
             raise ContractViolation("need one value per unordered pair")
         if not np.all(np.isfinite(values)):
@@ -524,8 +544,13 @@ class CutRows:
 
     def sums(self, matrix: np.ndarray) -> np.ndarray:
         """Cut sums ``s' M t - (r' M r) / 2`` of a symmetric M, each pair once."""
-        cs = ((self.s @ matrix) * self.t).sum(axis=1)
-        cs[self.meet] -= 0.5 * ((self.r @ matrix) * self.r).sum(axis=1)
+        # each product is masked in its own memory, not into a second array
+        product = self.s @ matrix
+        product *= self.t
+        cs = product.sum(axis=1)
+        product = self.r @ matrix
+        product *= self.r
+        cs[self.meet] -= 0.5 * product.sum(axis=1)
         return cs
 
     def shared_pairs(self, i: int) -> np.ndarray:

@@ -58,9 +58,12 @@ Bernoulli vertices instead of a double per vertex, ``2 * rows *
 ceil(n / 8)`` bytes in all.  It is unpacked and summed ``_AUDIT_BLOCK``
 rows at a time, one :class:`CutRows` per block, so its float masks and
 products take O(block * n) memory instead of O(rows * n) for its 8n
-rows.  The counted-once cut sum is linear, so a block takes two
+rows.  The counted-once cut sum is linear, so each row takes two
 products, not one each for x, W+ and W-: ``cut+ = S(x - W+)`` and
-``cut- = sizes - S(x + W-)``.
+``cut- = sizes - S(x + W-)``.  The two residual matrices fill the
+merge's one n-by-n buffer in turn, each with a pass of its own over the
+packed family, so the audit holds one dense matrix and one per-pair
+residual at a time.
 
 The training family keeps its row-by-row draw
 (:func:`_sample_set_pairs`).  The loop's trajectory follows that stream:
@@ -98,7 +101,7 @@ __all__ = [
 
 _PATIENCE = 300  # merge solver stops after this many non-improving iterations
 _RESYNC = 50  # cut sums are recomputed exactly at least this often
-_AUDIT_BLOCK = 256  # audit rows unpacked per CutRows, which bounds the audit's float masks
+_AUDIT_BLOCK = 128  # audit rows unpacked per CutRows, which bounds the audit's float masks
 CHANNEL_SENSITIVITY = 1.0  # flipping one edge moves each 0/1 channel by 1
 
 
@@ -139,15 +142,18 @@ def laplace_release(
     """Return the channel with Lap(noise_scale) added to every pair weight.
 
     Unbiased: the expected weight of any pair set equals its true weight.
-    ``noise_scale == 0`` is the deterministic test mode (not private);
-    negative scales are rejected.  Both release routes noise through here.
+    ``noise_scale == 0`` is the deterministic test mode (not private), and
+    returns the channel itself; negative scales are rejected.  The sum is
+    written into the fresh draw, which the returned channel keeps.  Both
+    release routes noise through here.
     """
     if noise_scale < 0:
         raise ContractViolation(f"noise scale must be >= 0, got {noise_scale}")
-    vals = channel_weights.values
-    if noise_scale != 0:
-        vals = vals + rng.laplace(0.0, noise_scale, size=vals.size)
-    return WeightedChannel(channel_weights.n, vals)
+    if noise_scale == 0:
+        return channel_weights
+    noisy = rng.laplace(0.0, noise_scale, size=channel_weights.values.size)
+    noisy += channel_weights.values
+    return WeightedChannel.adopt(channel_weights.n, noisy)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +220,13 @@ def _blocked_sums(blocks, matrices):
     for s_rows, t_rows in blocks:
         block = CutRows(s_rows, t_rows)
         parts.append([block.sums(m) for m in matrices] + [block.sizes])
+        del block  # the next block's float masks are made without this one's
     return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _largest_abs(res: np.ndarray) -> float:
+    """``max |res|``, 0 for an empty residual, with no array of absolute values."""
+    return float(max(res.max(), -res.min())) if res.size else 0.0
 
 
 def _max_violation(pair_plus, pair_minus, cut_plus, cut_minus):
@@ -272,12 +284,12 @@ def solve_merge_lp(
         constraint_budget = 4 * n
     wp, wm = wplus.values, wminus.values
     iu, iv = canonical_pairs(n)
-    x_mat = np.zeros((n, n))  # the dense matrix of x, rewritten in place
+    x_mat = np.zeros((n, n))  # the one dense pair matrix, rewritten in place
 
-    def pair_matrix(values, out=x_mat):
-        out[iu, iv] = values
-        out[iv, iu] = values
-        return out
+    def pair_matrix(values):
+        x_mat[iu, iv] = values
+        x_mat[iv, iu] = values
+        return x_mat
 
     x = np.clip((wp + 1.0 - wm) / 2.0, 0.0, 1.0)
     iterations_run = 0
@@ -287,7 +299,7 @@ def solve_merge_lp(
 
     if strategy == "sampled-lp":
         rows = CutRows(*_sample_set_pairs(n, constraint_budget, rng))
-        tp, tm = rows.sums(wplus.matrix()), rows.sums(wminus.matrix())
+        tp, tm = rows.sums(pair_matrix(wp)), rows.sums(pair_matrix(wm))
         cs = rows.sums(pair_matrix(x))
         best_lam = np.inf
         best_x = x.copy()
@@ -335,15 +347,21 @@ def solve_merge_lp(
     # honest audit: fresh constraints, never the training family, drawn from
     # a stream of their own so that rng's later draws do not depend on them
     audit_rng = np.random.Generator(rng.bit_generator.jumped())
-    blocks = _unpacked_blocks(*_packed_set_pairs(n, constraint_budget, audit_rng), n, _AUDIT_BLOCK)
-    # cut sums are linear, so cut+ = S(x - W+) and cut- = sizes - S(x + W-)
-    pair_plus = x - wp
-    residuals = (pair_matrix(pair_plus), pair_matrix(x + wm, np.zeros((n, n))))
-    cut_plus, cut_x_wm, sizes = _blocked_sums(blocks, residuals)
-    lam_audit, _, _, _ = _max_violation(pair_plus, (1.0 - x) - wm, cut_plus, sizes - cut_x_wm)
+    bits = _packed_set_pairs(n, constraint_budget, audit_rng)
+    # cut sums are linear, so cut+ = S(x - W+) and cut- = sizes - S(x + W-); each
+    # residual in turn fills x_mat and takes its own pass over the family, and
+    # res holds one per-pair residual at a time
+    res = np.subtract(x, wp)
+    cut_plus, sizes = _blocked_sums(_unpacked_blocks(*bits, n, _AUDIT_BLOCK), [pair_matrix(res)])
+    lam = max(_largest_abs(res), _largest_abs(cut_plus))
+    np.add(x, wm, out=res)
+    cut_x_wm, _ = _blocked_sums(_unpacked_blocks(*bits, n, _AUDIT_BLOCK), [pair_matrix(res)])
+    np.subtract(1.0, x, out=res)
+    res -= wm  # the pair- residual (1 - x) - W-
+    lam = max(lam, _largest_abs(res), _largest_abs(sizes - cut_x_wm))
     return MergeSolution(
         x=x,
-        lam=float(lam_audit),
+        lam=lam,
         strategy=strategy,
         constraints_checked=2 * iu.size + 2 * sizes.size,
         iterations_run=iterations_run,
@@ -396,17 +414,19 @@ def release_unweighted(
         raise ContractViolation("this mechanism is pure DP; delta must be 0")
     half = params.split(2)
     scale = laplace_scale(engine, CHANNEL_SENSITIVITY, half.epsilon)
-    n = graph.n
-    noisy_plus = laplace_release(WeightedChannel(n, graph.channel_flat(1)), scale, rng)
-    noisy_minus = laplace_release(WeightedChannel(n, graph.channel_flat(-1)), scale, rng)
+    # a complete graph's read-only weights are its channels, flat in canonical order
+    noisy = [
+        laplace_release(WeightedChannel.adopt(graph.n, w), scale, rng)
+        for w in (graph.pos_w, graph.neg_w)
+    ]
     solution = solve_merge_lp(
-        noisy_plus,
-        noisy_minus,
+        *noisy,
         merge.constraint_budget,
         rng,
         iterations=merge.iterations,
         strategy=merge.strategy,
     )
+    del noisy  # the rounding needs x alone
     released = round_to_signed(solution, rng)
     audit = ReleaseOutput(
         mechanism="unweighted-laplace-merge-round",

@@ -57,6 +57,13 @@ def sign_channels(net: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(net, 0.0), np.maximum(-net, 0.0)
 
 
+def _net_flat(graph: SignedGraph) -> np.ndarray:
+    """The net weights ``W+ - W-`` over all pairs, in canonical order."""
+    net = graph.channel_flat(1)
+    net -= graph.channel_flat(-1)
+    return net
+
+
 def release_weighted(
     graph: SignedGraph,
     params: PrivacyParams,
@@ -74,10 +81,12 @@ def release_weighted(
     """
     scale = laplace_scale(engine, CHANNEL_SENSITIVITY, params.epsilon)
     n = graph.n
-    net = WeightedChannel(n, graph.channel_flat(1) - graph.channel_flat(-1))
-    noisy = laplace_release(net, scale, rng).values
-    kept = np.where(np.abs(noisy) >= scale * math.log(max(n, 2)), noisy, 0.0)
-    released = SignedGraph.from_channel_arrays(n, *sign_channels(kept))
+    noisy = laplace_release(WeightedChannel.adopt(n, _net_flat(graph)), scale, rng).values
+    # a pair keeps an edge where its noisy net weight is nonzero and clears the threshold
+    keep = np.flatnonzero((noisy != 0) & (np.abs(noisy) >= scale * math.log(max(n, 2))))
+    noisy = noisy[keep]  # the full vector goes before the pair index is made
+    pu, pv = canonical_pairs(n)
+    released = SignedGraph(n, pu[keep], pv[keep], *sign_channels(noisy))
     audit = ReleaseOutput(
         mechanism=f"weighted-{engine}",
         epsilon=params.epsilon,
@@ -123,18 +132,19 @@ def sampled_cut_distance(
     if samples < 1:
         raise ContractViolation("need at least one sample")
     n = a.n
-    diff = a.matrix() - b.matrix()
+    gap = a.values - b.values
+    diff = WeightedChannel.adopt(n, gap).matrix()
     if n <= exact_limit:
         return _exact_cut_distance(diff)
     cands: list[tuple[float, np.ndarray, np.ndarray]] = []
     if n >= 2:
         iu, iv = canonical_pairs(n)
-        top = int(np.argmax(np.abs(a.values - b.values)))
+        top = int(np.argmax(np.abs(gap)))
         s0 = np.zeros(n, dtype=bool)
         t0 = np.zeros(n, dtype=bool)
         s0[iu[top]] = True
         t0[iv[top]] = True
-        cands.append((float(abs(a.values[top] - b.values[top])), s0, t0))
+        cands.append((float(abs(gap[top])), s0, t0))
     for i in range(2 * samples):
         s = rng.random(n) < 0.5
         t = rng.random(n) < 0.5 if i < samples else ~s

@@ -310,7 +310,7 @@ def local_search(
 
     tol = 1e-9
     moves_budget = _MAX_PASSES * n
-    best_err = disagreement(Clustering(labels), graph)
+    best_err = None  # the start's objective, scored when the first check runs
     moves_done = 0
     # rows whose gains the last move changed (None asks for a full pass),
     # and the columns whose layout it changed for every row
@@ -401,6 +401,8 @@ def local_search(
             redo = np.concatenate([near[v], *flipped]) if flipped else near[v]
         moves_done += 1
         if moves_done % n == 0:
+            if best_err is None:
+                best_err = disagreement(start, graph)
             err_now = disagreement(Clustering(labels), graph)
             if not err_now <= best_err + 1e-6:
                 raise AssertionError("local search must be monotone")
@@ -413,11 +415,13 @@ def local_search(
 
 def cap_clusters(clustering: Clustering, kmax: int) -> Clustering:
     """Merge all but the kmax-1 largest clusters into one bucket."""
+    if kmax < 1:
+        raise ContractViolation(f"kmax must be >= 1, got {kmax}")
     if clustering.k <= kmax:
         return clustering
     sizes = clustering.sizes()
     order = np.argsort(-sizes, kind="stable")
-    keep = set(order[: kmax - 1].tolist()) if kmax > 1 else set()
+    keep = set(order[: kmax - 1].tolist())
     labels = clustering.assignment.copy()
     bucket = clustering.k
     for cid in range(clustering.k):

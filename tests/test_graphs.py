@@ -399,6 +399,26 @@ class TestSharedPairs:
         gc.collect()
         assert (n, 0) not in _PAIRS and (n, 1) not in _PAIRS
 
+    @pytest.mark.parametrize("shared_index", [False, True])
+    def test_constructors_copy_a_callers_arrays(self, shared_index):
+        pu, pv = canonical_pairs(3) if shared_index else (np.array([0, 0, 1]), np.array([1, 2, 2]))
+        pos, neg = np.array([1.0, 0.0, 2.0]), np.array([0.0, 3.0, 0.0])
+        g = SignedGraph(3, pu, pv, pos, neg)
+        ch = WeightedChannel(3, pos)
+        for a in (pos, neg) if shared_index else (pu, pv, pos, neg):
+            assert a.flags.writeable
+            a[:] = 2
+        assert g.pair_u.tolist() == [0, 0, 1] and g.pair_v.tolist() == [1, 2, 2]
+        assert g.pos_w.tolist() == [1.0, 0.0, 2.0] and g.neg_w.tolist() == [0.0, 3.0, 0.0]
+        assert ch.values.tolist() == [1.0, 0.0, 2.0]
+
+    def test_adopted_channel_keeps_its_array_read_only(self):
+        vals = np.array([1.0, -2.0, 0.5])
+        ch = WeightedChannel.adopt(3, vals)
+        assert ch.values is vals and not vals.flags.writeable
+        with pytest.raises(ContractViolation):
+            WeightedChannel.adopt(3, np.array([1.0, np.inf, 0.0]))
+
     def test_channel_flat_is_a_private_copy(self):
         g = SignedGraph.complete_unweighted(6, np.arange(15) % 2 == 0)
         flat = g.channel_flat(1)

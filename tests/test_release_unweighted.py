@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -429,10 +430,11 @@ class TestAudit:
                     # Philox state holds arrays: compare it whole through repr
                     assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
 
-    @pytest.mark.parametrize("block", [1, 7, _AUDIT_BLOCK])
+    @pytest.mark.parametrize("block", [1, 7, _AUDIT_BLOCK, 2 * _AUDIT_BLOCK])
     def test_blocks_match_one_draw(self, block):
         # budgets 3 and 10 put the mixed/complement boundary inside a block
         # of 7, and every budget in BUDGETS inside a block of _AUDIT_BLOCK;
+        # a block of twice as many rows holds all but the last family whole;
         # n = 1, 2 and 13 leave padding bits in the last byte, n = 16 none
         for n in (1, 2, 13, 16):
             for budget in (1, 3, 10) + self.BUDGETS:
@@ -480,7 +482,7 @@ class TestAudit:
                 assert np.array_equal(got, whole.sums(m))
 
     @pytest.mark.parametrize("n", [1, 2, 9])
-    @pytest.mark.parametrize("block", [1, 7, _AUDIT_BLOCK])
+    @pytest.mark.parametrize("block", [1, 7, _AUDIT_BLOCK, 2 * _AUDIT_BLOCK])
     def test_audit_matches_one_family(self, monkeypatch, n, block):
         monkeypatch.setattr(release_unweighted_module, "_AUDIT_BLOCK", block)
         rng = make_rng(80 + n)
@@ -602,6 +604,29 @@ class TestReleaseUnweighted:
         ]
         assert outs[0][0].pos_w.tobytes() == outs[1][0].pos_w.tobytes()
         assert outs[0][1].constraints_checked < outs[1][1].constraints_checked
+
+    def test_per_edge_release_peak_memory(self):
+        # tracemalloc's peak over one release, in n-by-n float64 matrices:
+        # 7.8 while the audit held two residual matrices and each block's
+        # masks were made beside the last one's; 4.7 with one of each
+        n = 400
+        graph, _ = generate_instance(
+            InstanceSpec(kind="planted", n=n, clusters=4, flip_prob=0.05, seed=1)
+        )
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            release_unweighted(
+                graph, PrivacyParams(1.0), MergeConfig(strategy="per-edge"), make_rng(1)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert (peak - before) / (8 * n * n) < 5.25
 
     def test_preconditions(self):
         rng = make_rng(67)

@@ -8,6 +8,7 @@ import pytest
 
 from privcc import (
     Clustering,
+    ContractViolation,
     SignedGraph,
     SizeRefusal,
     disagreement,
@@ -454,3 +455,10 @@ def test_partition_disagreements_matches_scalar():
     errs = partition_disagreements(parts, g)
     for idx in rng.integers(0, parts.shape[0], size=25):
         assert errs[idx] == pytest.approx(disagreement(Clustering(parts[idx]), g))
+
+
+@pytest.mark.parametrize("kmax", [0, -1])
+def test_cap_clusters_refuses_a_cap_below_one(kmax):
+    # a cap of 0 used to return one bucket of every vertex, above the cap
+    with pytest.raises(ContractViolation, match="kmax must be >= 1"):
+        cap_clusters(Clustering([0, 1, 2, 2]), kmax)
