@@ -52,6 +52,7 @@ __all__ = [
     "split_signs",
     "CutRows",
     "cut_sums",
+    "CutFamily",
 ]
 
 
@@ -580,6 +581,62 @@ class CutRows:
 def cut_sums(matrix: np.ndarray, s_rows: np.ndarray, t_rows: np.ndarray) -> np.ndarray:
     """Counted-once cut sums of a symmetric matrix for every (S, T) row."""
     return CutRows(s_rows, t_rows).sums(matrix)
+
+
+_AUDIT_BLOCK = 128  # family rows unpacked per CutRows, which bounds a pass's float masks
+
+
+class CutFamily:
+    """A sampled family of ``2 * budget`` (S, T) rows, held as packed bits.
+
+    ``budget`` mixed rows (with probability 1/2 independent Bernoulli(1/2)
+    sets S and T, otherwise classes 0 and 1 of a uniform 3-colouring),
+    then ``budget`` complement rows (a Bernoulli(1/2) S and T = V minus
+    S), drawn from ``rng`` in one pass in this order: one coin per mixed
+    row, the bytes of S for every row, the bytes of T for the mixed rows,
+    the colouring rows' colours.  A byte is 8 fair bits, so the
+    Bernoulli rows cost 1/64 of a double per vertex.  :meth:`sums`
+    unpacks ``_AUDIT_BLOCK`` rows per :class:`CutRows`, so a pass takes
+    O(block * n) float memory whatever the family's size.
+    """
+
+    __slots__ = ("n", "_s", "_t")
+
+    def __init__(self, n: int, budget: int, rng: np.random.Generator):
+        if budget < 1:
+            raise ContractViolation("a cut family needs a budget of at least 1")
+        rows, width = 2 * budget, -(-n // 8)
+        coloured = np.flatnonzero(rng.random(budget) >= 0.5)
+        s = rng.integers(0, 256, size=(rows, width), dtype=np.uint8)
+        t = np.empty_like(s)
+        t[:budget] = rng.integers(0, 256, size=(budget, width), dtype=np.uint8)
+        z = rng.integers(0, 3, size=(coloured.size, n), dtype=np.int8)
+        s[coloured] = np.packbits(z == 0, axis=1)
+        t[coloured] = np.packbits(z == 1, axis=1)
+        t[budget:] = ~s[budget:]
+        # one bit per vertex as numpy.packbits lays them out; bits past n are padding
+        self.n, self._s, self._t = n, s, t
+
+    def _rows(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """The boolean (S, T) masks of rows ``a`` to ``b``."""
+        return tuple(
+            np.unpackbits(bits[a:b], axis=1, count=self.n).view(bool) for bits in (self._s, self._t)
+        )
+
+    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """The boolean masks (S, T) of row ``i``."""
+        s, t = self._rows(i, i + 1)
+        return s[0], t[0]
+
+    def sums(self, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Counted-once cut sums of a symmetric matrix over every row, and the cut sizes."""
+        parts = []
+        for a in range(0, self._s.shape[0], _AUDIT_BLOCK):
+            block = CutRows(*self._rows(a, a + _AUDIT_BLOCK))
+            parts.append((block.sums(matrix), block.sizes))
+            del block  # the next block's float masks are made without this one's
+        sums, sizes = zip(*parts)
+        return np.concatenate(sums), np.concatenate(sizes)
 
 
 def disagreement_cut_form(clustering: Clustering, graph: SignedGraph) -> float:

@@ -51,26 +51,25 @@ The audit family comes from a stream of its own,
 ``Generator(rng.bit_generator.jumped())``, which leaves ``rng`` where it
 was.  The rounding then draws right after the noise (per-edge) or the
 training family (sampled LP), so the released graph does not depend on
-the audit's budget or sampler.  The audit family has the training
-family's distribution row for row, but is drawn in one vectorized pass
-as packed bits (:func:`_packed_set_pairs`): one random byte per eight
-Bernoulli vertices instead of a double per vertex, ``2 * rows *
-ceil(n / 8)`` bytes in all.  It is unpacked and summed ``_AUDIT_BLOCK``
-rows at a time, one :class:`CutRows` per block, so its float masks and
-products take O(block * n) memory instead of O(rows * n) for its 8n
-rows.  The counted-once cut sum is linear, so each row takes two
+the audit's budget or sampler.  The audit family is a
+:class:`~privcc.graphs.CutFamily`, the sampled family
+:func:`~privcc.release_weighted.sampled_cut_distance` draws too: the
+training family's distribution row for row, drawn in one vectorized
+pass as packed bits and summed a block of rows at a time, so its float
+masks and products take O(block * n) memory instead of O(rows * n) for
+its 8n rows.  The counted-once cut sum is linear, so each row takes two
 products, not one each for x, W+ and W-: ``cut+ = S(x - W+)`` and
 ``cut- = sizes - S(x + W-)``.  The two residual matrices fill the
 merge's one n-by-n buffer in turn, each with a pass of its own over the
-packed family, so the audit holds one dense matrix and one per-pair
-residual at a time.
+family, so the audit holds one dense matrix and one per-pair residual at
+a time.
 
 The training family keeps its row-by-row draw
-(:func:`_sample_set_pairs`).  The loop's trajectory follows that stream:
-a packed training family changed the benchmark's planted n=200 runs
-from -21% to +53% in full cut-sum recomputes per cell across four seeds,
-which would make their time depend on the seed's luck.  Both samplers
-stay until the training loop itself goes.
+(:func:`_sample_set_pairs`), here with the loop, whose trajectory
+follows that stream: a packed training family changed the benchmark's
+planted n=200 runs from -21% to +53% in full cut-sum recomputes per cell
+across four seeds, which would make their time depend on the seed's
+luck.  Both samplers stay until the training loop itself goes.
 """
 
 from __future__ import annotations
@@ -81,6 +80,7 @@ import numpy as np
 
 from .graphs import (
     ContractViolation,
+    CutFamily,
     CutRows,
     PrivacyParams,
     ReleaseOutput,
@@ -101,7 +101,6 @@ __all__ = [
 
 _PATIENCE = 300  # merge solver stops after this many non-improving iterations
 _RESYNC = 50  # cut sums are recomputed exactly at least this often
-_AUDIT_BLOCK = 128  # audit rows unpacked per CutRows, which bounds the audit's float masks
 CHANNEL_SENSITIVITY = 1.0  # flipping one edge moves each 0/1 channel by 1
 
 
@@ -182,46 +181,6 @@ def _sample_set_pairs(n: int, budget: int, rng: np.random.Generator):
     s_rows[budget:] = rng.random((budget, n)) < 0.5
     t_rows[budget:] = ~s_rows[budget:]
     return s_rows, t_rows
-
-
-def _packed_set_pairs(n: int, budget: int, rng: np.random.Generator):
-    """The rows of :func:`_sample_set_pairs`'s distribution as packed bits, in one pass.
-
-    Returns uint8 arrays (S, T) of shape ``(2 * budget, ceil(n / 8))``,
-    one bit per vertex as :func:`numpy.packbits` lays them out; the bits
-    past n are padding.  Draw order: one coin per mixed row, the bytes of
-    S for every row, the bytes of T for the mixed rows, then the colouring
-    rows' colours.  A byte is 8 fair bits, so the Bernoulli rows cost
-    1/64 of a double per vertex instead of one.
-    """
-    rows, width = 2 * budget, -(-n // 8)
-    coloured = np.flatnonzero(rng.random(budget) >= 0.5)
-    s = rng.integers(0, 256, size=(rows, width), dtype=np.uint8)
-    t = np.empty_like(s)
-    t[:budget] = rng.integers(0, 256, size=(budget, width), dtype=np.uint8)
-    z = rng.integers(0, 3, size=(coloured.size, n), dtype=np.int8)
-    s[coloured] = np.packbits(z == 0, axis=1)
-    t[coloured] = np.packbits(z == 1, axis=1)
-    t[budget:] = ~s[budget:]
-    return s, t
-
-
-def _unpacked_blocks(s: np.ndarray, t: np.ndarray, n: int, block: int):
-    """Yield the boolean (S, T) rows of packed rows, ``block`` rows at a time."""
-    for a in range(0, s.shape[0], block):
-        yield tuple(
-            np.unpackbits(bits[a : a + block], axis=1, count=n).view(bool) for bits in (s, t)
-        )
-
-
-def _blocked_sums(blocks, matrices):
-    """Cut sums of each matrix, then the cut sizes, one :class:`CutRows` per block of rows."""
-    parts = []
-    for s_rows, t_rows in blocks:
-        block = CutRows(s_rows, t_rows)
-        parts.append([block.sums(m) for m in matrices] + [block.sizes])
-        del block  # the next block's float masks are made without this one's
-    return [np.concatenate(column) for column in zip(*parts)]
 
 
 def _largest_abs(res: np.ndarray) -> float:
@@ -347,15 +306,15 @@ def solve_merge_lp(
     # honest audit: fresh constraints, never the training family, drawn from
     # a stream of their own so that rng's later draws do not depend on them
     audit_rng = np.random.Generator(rng.bit_generator.jumped())
-    bits = _packed_set_pairs(n, constraint_budget, audit_rng)
+    family = CutFamily(n, constraint_budget, audit_rng)
     # cut sums are linear, so cut+ = S(x - W+) and cut- = sizes - S(x + W-); each
     # residual in turn fills x_mat and takes its own pass over the family, and
     # res holds one per-pair residual at a time
     res = np.subtract(x, wp)
-    cut_plus, sizes = _blocked_sums(_unpacked_blocks(*bits, n, _AUDIT_BLOCK), [pair_matrix(res)])
+    cut_plus, sizes = family.sums(pair_matrix(res))
     lam = max(_largest_abs(res), _largest_abs(cut_plus))
     np.add(x, wm, out=res)
-    cut_x_wm, _ = _blocked_sums(_unpacked_blocks(*bits, n, _AUDIT_BLOCK), [pair_matrix(res)])
+    cut_x_wm, _ = family.sums(pair_matrix(res))
     np.subtract(1.0, x, out=res)
     res -= wm  # the pair- residual (1 - x) - W-
     lam = max(lam, _largest_abs(res), _largest_abs(sizes - cut_x_wm))

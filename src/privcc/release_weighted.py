@@ -26,6 +26,7 @@ import numpy as np
 
 from .graphs import (
     ContractViolation,
+    CutFamily,
     PrivacyParams,
     ReleaseOutput,
     SignedGraph,
@@ -113,59 +114,34 @@ def sampled_cut_distance(
     rng: np.random.Generator,
     exact_limit: int = _EXACT_LIMIT,
     ascent_starts: int = 1,
-    basin_hops: int = 0,
 ) -> float:
     """Lower bound on the cut distance between two channels.
 
     For ``n <= exact_limit`` the maximum of |cut(a) - cut(b)| over all
     set pairs is computed exactly by enumeration (finding this maximum is
     a rugged search problem and sampling alone misses it on a few percent
-    of instances even at n = 10).  Above that, the bound maximizes over
-    all singleton pairs, ``samples`` random (S, T) pairs, ``samples``
-    random complement pairs, and a greedy vertex-state ascent from the
-    best candidate.  ``ascent_starts`` and ``basin_hops`` buy a stronger
-    (more adversarial) search: ascents from that many top candidates plus
-    perturbation restarts around the incumbent.
+    of instances even at n = 10).  Above that, the bound is the largest
+    of every singleton pair's |gap|, the |cut sums| of a
+    :class:`~privcc.graphs.CutFamily` of ``2 * samples`` rows (the
+    unweighted merge audit's sampled family), and greedy vertex-state
+    ascents started from the family's top ``ascent_starts`` rows.
     """
     if a.n != b.n:
         raise ContractViolation("channels must share a vertex count")
     if samples < 1:
         raise ContractViolation("need at least one sample")
+    if ascent_starts < 1:
+        raise ContractViolation("need at least one ascent start")
     n = a.n
     gap = a.values - b.values
     diff = WeightedChannel.adopt(n, gap).matrix()
     if n <= exact_limit:
         return _exact_cut_distance(diff)
-    cands: list[tuple[float, np.ndarray, np.ndarray]] = []
-    if n >= 2:
-        iu, iv = canonical_pairs(n)
-        top = int(np.argmax(np.abs(gap)))
-        s0 = np.zeros(n, dtype=bool)
-        t0 = np.zeros(n, dtype=bool)
-        s0[iu[top]] = True
-        t0[iv[top]] = True
-        cands.append((float(abs(gap[top])), s0, t0))
-    for i in range(2 * samples):
-        s = rng.random(n) < 0.5
-        t = rng.random(n) < 0.5 if i < samples else ~s
-        cands.append((abs(float(cut_sums(diff, s[None], t[None])[0])), s, t))
-    cands.sort(key=lambda item: -item[0])
-    best = cands[0][0]
-    best_s, best_t = cands[0][1], cands[0][2]
-    for val, s, t in cands[: max(ascent_starts, 1)]:
-        got, es, et = _ascend(diff, s, t)
-        if got > best:
-            best, best_s, best_t = got, es, et
-    for _ in range(basin_hops):
-        s = best_s.copy()
-        t = best_t.copy()
-        for u in rng.integers(0, n, size=max(2, n // 16)):
-            code = int(rng.integers(0, 4))
-            s[u] = code in (1, 3)
-            t[u] = code in (2, 3)
-        got, es, et = _ascend(diff, s, t)
-        if got > best:
-            best, best_s, best_t = got, es, et
+    family = CutFamily(n, samples, rng)
+    cuts = np.abs(family.sums(diff)[0])
+    best = max(float(np.abs(gap).max(initial=0.0)), float(cuts.max()))
+    for i in np.argsort(-cuts, kind="stable")[:ascent_starts]:
+        best = max(best, _ascend(diff, *family.row(i)))
     return best
 
 
@@ -196,7 +172,7 @@ def _ascend(diff: np.ndarray, s: np.ndarray, t: np.ndarray):
     Each vertex is in one of four states (outside, S only, T only, both);
     a move reassigns one vertex to its best state.  A pair contributes to
     the cut value unless some endpoint is outside or both endpoints sit
-    in the same single set.  Returns (value, S, T) at the local maximum.
+    in the same single set.  Returns the value at the local maximum.
     """
     n = diff.shape[0]
     in_s = s.copy()
@@ -238,4 +214,4 @@ def _ascend(diff: np.ndarray, s: np.ndarray, t: np.ndarray):
                 vec += col
         in_s[u] = new_state in (1, 3)
         in_t[u] = new_state in (2, 3)
-    return best, in_s, in_t
+    return best

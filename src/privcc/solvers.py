@@ -142,8 +142,9 @@ def pivot_kwikcluster(
     Repeatedly picks a uniformly random unclustered vertex, forms a
     cluster from it and its unclustered positive neighbors, and removes
     them.  An edge counts as positive when its net weight (positive minus
-    negative channel) is strictly greater than zero, so released graphs
-    with parallel edges feed in directly.  ``prepared`` is
+    negative channel) is strictly greater than zero, so graphs with
+    parallel edges, which ``privcc cluster`` may read from a file, feed in
+    directly.  ``prepared`` is
     ``_prepare(graph)``, made here when not given.
     """
     n = graph.n

@@ -1,4 +1,4 @@
-"""Shared generators for fuzz-style tests, and dense views used only by tests."""
+"""Shared generators for fuzz-style tests, and dense views and reference samplers used only by tests."""
 
 import numpy as np
 
@@ -55,3 +55,30 @@ def channel_from_matrix(m):
     m = np.asarray(m, dtype=np.float64)
     pu, pv = np.triu_indices(m.shape[0], 1)
     return WeightedChannel(m.shape[0], m[pu, pv])
+
+
+def packed_family_reference(n, budget, rng):
+    """``CutFamily(n, budget, rng)``'s rows, drawn in its stream order and read plainly."""
+    width = -(-n // 8)
+    coloured = rng.random(budget) >= 0.5
+    s_bytes = rng.integers(0, 256, size=(2 * budget, width), dtype=np.uint8)
+    t_bytes = rng.integers(0, 256, size=(budget, width), dtype=np.uint8)
+    colours = iter(rng.integers(0, 3, size=(int(coloured.sum()), n), dtype=np.int8))
+
+    def bits(b):  # most significant bit first, as numpy.packbits lays them out
+        return ((b[:, :, None] >> np.arange(7, -1, -1)) & 1).reshape(b.shape[0], -1)[:, :n] > 0
+
+    s_rows = bits(s_bytes)
+    t_rows = np.zeros_like(s_rows)
+    t_rows[:budget] = bits(t_bytes)
+    for i in np.flatnonzero(coloured):
+        z = next(colours)
+        s_rows[i], t_rows[i] = z == 0, z == 1
+    t_rows[budget:] = ~s_rows[budget:]
+    return s_rows, t_rows
+
+
+def family_rows(family, rows):
+    """The boolean (S, T) masks of a ``CutFamily``'s first ``rows`` rows, stacked."""
+    s_rows, t_rows = zip(*(family.row(i) for i in range(rows)))
+    return np.array(s_rows), np.array(t_rows)

@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import privcc.graphs as graphs_module
 from privcc import (
     Clustering,
     ContractViolation,
@@ -18,17 +19,13 @@ from privcc import (
 )
 from privcc._rng import make_rng
 from privcc.experiments import InstanceSpec, generate_instance
-from privcc.graphs import CutRows
+from privcc.graphs import _AUDIT_BLOCK, CutFamily, CutRows
 from privcc.release_unweighted import (
-    _AUDIT_BLOCK,
     _PATIENCE,
     _RESYNC,
     MergeConfig,
-    _blocked_sums,
     _max_violation,
-    _packed_set_pairs,
     _sample_set_pairs,
-    _unpacked_blocks,
     laplace_release,
     release_unweighted,
     round_to_signed,
@@ -36,7 +33,7 @@ from privcc.release_unweighted import (
 )
 
 import dp_harness
-from helpers import random_graph
+from helpers import family_rows, packed_family_reference, random_graph
 
 # the package's ``release_unweighted`` attribute is the function
 release_unweighted_module = importlib.import_module("privcc.release_unweighted")
@@ -372,27 +369,6 @@ def row_loop_set_pairs(n, budget, rng):
     return s_rows, t_rows
 
 
-def packed_family_reference(n, budget, rng):
-    """``_packed_set_pairs`` drawn in its stream order, its bits read plainly, unpacked whole."""
-    width = -(-n // 8)
-    coloured = rng.random(budget) >= 0.5
-    s_bytes = rng.integers(0, 256, size=(2 * budget, width), dtype=np.uint8)
-    t_bytes = rng.integers(0, 256, size=(budget, width), dtype=np.uint8)
-    colours = iter(rng.integers(0, 3, size=(int(coloured.sum()), n), dtype=np.int8))
-
-    def bits(b):  # most significant bit first, as numpy.packbits lays them out
-        return ((b[:, :, None] >> np.arange(7, -1, -1)) & 1).reshape(b.shape[0], -1)[:, :n] > 0
-
-    s_rows = bits(s_bytes)
-    t_rows = np.zeros_like(s_rows)
-    t_rows[:budget] = bits(t_bytes)
-    for i in np.flatnonzero(coloured):
-        z = next(colours)
-        s_rows[i], t_rows[i] = z == 0, z == 1
-    t_rows[budget:] = ~s_rows[budget:]
-    return s_rows, t_rows
-
-
 def audit_stream(rng):
     """The stream the merge's audit draws from when ``rng`` is in this state."""
     return np.random.Generator(rng.bit_generator.jumped())
@@ -431,26 +407,41 @@ class TestAudit:
                     assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
 
     @pytest.mark.parametrize("block", [1, 7, _AUDIT_BLOCK, 2 * _AUDIT_BLOCK])
-    def test_blocks_match_one_draw(self, block):
+    def test_blocks_match_one_draw(self, monkeypatch, block):
         # budgets 3 and 10 put the mixed/complement boundary inside a block
         # of 7, and every budget in BUDGETS inside a block of _AUDIT_BLOCK;
         # a block of twice as many rows holds all but the last family whole;
         # n = 1, 2 and 13 leave padding bits in the last byte, n = 16 none
+        monkeypatch.setattr(graphs_module, "_AUDIT_BLOCK", block)
+        shapes = []
+
+        def spy_rows(s_rows, t_rows):
+            shapes.append(s_rows.shape)
+            return CutRows(s_rows, t_rows)
+
+        monkeypatch.setattr(graphs_module, "CutRows", spy_rows)
         for n in (1, 2, 13, 16):
+            m = integer_channel(make_rng(n), n).matrix()
             for budget in (1, 3, 10) + self.BUDGETS:
                 rng, ref = make_rng(budget + n), make_rng(budget + n)
-                blocks = list(_unpacked_blocks(*_packed_set_pairs(n, budget, rng), n, block))
+                family = CutFamily(n, budget, rng)
                 want = packed_family_reference(n, budget, ref)
-                assert all(s.shape == (block, n) for s, _ in blocks[:-1])
-                assert np.array_equal(np.concatenate([s for s, _ in blocks]), want[0])
-                assert np.array_equal(np.concatenate([t for _, t in blocks]), want[1])
+                got = family_rows(family, 2 * budget)
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
                 assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+                # integer weights keep every cut sum exact, whatever the blocking
+                whole = CutRows(*want)
+                shapes.clear()
+                sums, sizes = family.sums(m)
+                assert all(shape == (block, n) for shape in shapes[:-1])
+                assert np.array_equal(sums, whole.sums(m))
+                assert np.array_equal(sizes, whole.sizes)
 
     @pytest.mark.parametrize("n", [13, 64])
     def test_packed_family_is_the_sampled_family(self, n):
         budget = 1500
-        bits = _packed_set_pairs(n, budget, make_rng(90 + n))
-        s_rows, t_rows = next(_unpacked_blocks(*bits, n, 2 * budget))
+        s_rows, t_rows = family_rows(CutFamily(n, budget, make_rng(90 + n)), 2 * budget)
         coloured = make_rng(90 + n).random(budget) >= 0.5  # the coins come first
         bernoulli = np.flatnonzero(~coloured)
         assert np.array_equal(t_rows[budget:], ~s_rows[budget:])
@@ -470,21 +461,21 @@ class TestAudit:
         rng = make_rng(70 + n)
         mats = [integer_channel(rng, n).matrix() for _ in range(3)]
         for budget in self.BUDGETS:
-            s_rows, t_rows = _sample_set_pairs(n, budget, rng)
-            whole = CutRows(s_rows, t_rows)
-            blocks = (
-                (s_rows[a : a + _AUDIT_BLOCK], t_rows[a : a + _AUDIT_BLOCK])
-                for a in range(0, s_rows.shape[0], _AUDIT_BLOCK)
-            )
-            *sums, sizes = _blocked_sums(blocks, mats)
-            assert np.array_equal(sizes, whole.sizes)
-            for got, m in zip(sums, mats):
-                assert np.array_equal(got, whole.sums(m))
+            family = CutFamily(n, budget, rng)
+            whole = CutRows(*family_rows(family, 2 * budget))
+            for m in mats:
+                sums, sizes = family.sums(m)
+                assert np.array_equal(sizes, whole.sizes)
+                assert np.array_equal(sums, whole.sums(m))
+
+    def test_family_needs_a_budget(self):
+        with pytest.raises(ContractViolation):
+            CutFamily(5, 0, make_rng(71))
 
     @pytest.mark.parametrize("n", [1, 2, 9])
     @pytest.mark.parametrize("block", [1, 7, _AUDIT_BLOCK, 2 * _AUDIT_BLOCK])
     def test_audit_matches_one_family(self, monkeypatch, n, block):
-        monkeypatch.setattr(release_unweighted_module, "_AUDIT_BLOCK", block)
+        monkeypatch.setattr(graphs_module, "_AUDIT_BLOCK", block)
         rng = make_rng(80 + n)
         wp, wm = integer_channel(rng, n), integer_channel(rng, n)
         pairs = n * (n - 1) // 2

@@ -14,11 +14,12 @@ from privcc import (
 )
 from privcc._rng import make_rng
 from privcc.experiments import InstanceSpec, generate_instance
+from privcc.graphs import cut_sums
 from privcc.release_unweighted import laplace_release, release_unweighted
 from privcc.release_weighted import release_weighted, sampled_cut_distance
 
 import dp_harness
-from helpers import random_clustering, random_graph
+from helpers import packed_family_reference, random_clustering, random_graph
 
 
 def brute_force_cut_distance(a: WeightedChannel, b: WeightedChannel) -> float:
@@ -230,7 +231,7 @@ class TestCutDistance:
         d = sampled_cut_distance(
             WeightedChannel(n, base), WeightedChannel(n, bumped), 16, rng
         )
-        assert d >= 2.5  # singleton pair finds it; ascent may beat it
+        assert d >= 2.5  # n = 8 takes the exact path, which finds at least the pair
 
     def test_matches_independent_brute_force(self):
         # production uses subset DP below the exact limit; this oracle
@@ -262,17 +263,48 @@ class TestCutDistance:
             a = WeightedChannel(n, rng.random(n * (n - 1) // 2) * 3)
             b = WeightedChannel(n, rng.random(n * (n - 1) // 2) * 3)
             exact = brute_force_cut_distance(a, b)
-            approx = sampled_cut_distance(
-                a, b, 64, rng, exact_limit=0, ascent_starts=8, basin_hops=12
-            )
+            approx = sampled_cut_distance(a, b, 64, rng, exact_limit=0, ascent_starts=8)
             assert approx <= exact + 1e-9
             ratios.append(approx / exact)
         assert np.mean(ratios) >= 0.97  # near-exact on dense random inputs
+
+    def test_sampled_path_at_tiny_n(self):
+        # n = 1 has no pairs at all, so the singleton maximum sees an empty gap
+        rng = make_rng(85)
+        for n in (1, 2, 3):
+            for trial in range(20):
+                a = WeightedChannel(n, rng.random(n * (n - 1) // 2) * 3)
+                b = WeightedChannel(n, rng.random(n * (n - 1) // 2) * 3)
+                approx = sampled_cut_distance(a, b, 4, rng, exact_limit=0)
+                if n == 1:
+                    assert approx == 0.0
+                else:
+                    assert approx <= brute_force_cut_distance(a, b) + 1e-9
+
+    @pytest.mark.parametrize("samples", [63, 64, 65])
+    def test_sampled_path_covers_its_family(self, samples):
+        # 126, 128 and 130 rows: just below, at and across one summing block
+        for n in (11, 12, 13):
+            a = WeightedChannel(n, make_rng(86, n).integers(-3, 4, size=n * (n - 1) // 2))
+            b = WeightedChannel(n, np.zeros(n * (n - 1) // 2))
+            got = sampled_cut_distance(a, b, samples, make_rng(87, n))
+            family = packed_family_reference(n, samples, make_rng(87, n))
+            # integer weights keep every cut sum exact, whatever the blocking
+            cuts = cut_sums(a.matrix(), *family)
+            assert got >= np.abs(a.values).max()
+            assert got >= np.abs(cuts).max()
 
     def test_needs_samples(self):
         a = WeightedChannel(4, np.zeros(6))
         with pytest.raises(ContractViolation):
             sampled_cut_distance(a, a, 0, make_rng(81))
+
+    @pytest.mark.parametrize("starts", [0, -1])
+    def test_needs_an_ascent_start(self, starts):
+        for n in (4, 12):  # refused on the exact path and on the sampled one
+            a = WeightedChannel(n, np.zeros(n * (n - 1) // 2))
+            with pytest.raises(ContractViolation):
+                sampled_cut_distance(a, a, 8, make_rng(81), ascent_starts=starts)
 
 
 class TestObjectiveTransfer:
