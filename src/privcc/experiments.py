@@ -120,7 +120,7 @@ class InstanceSpec:
             return f"path(n={self.n},w={self.edge_weight},seed={self.seed})"
         if self.kind == "weighted-random":
             return (
-                f"weighted-random(n={self.n},dist={self.weight_dist},"
+                f"weighted-random(n={self.n},dist={self.weight_dist},w={self.edge_weight},"
                 f"density={self.density},seed={self.seed})"
             )
         return f"random-signs(n={self.n},seed={self.seed})"

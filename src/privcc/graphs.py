@@ -51,7 +51,6 @@ __all__ = [
     "neighbor_distance",
     "split_signs",
     "CutRows",
-    "cut_sums",
     "CutFamily",
 ]
 
@@ -438,11 +437,15 @@ def laplace_scale(engine: str, sensitivity: float, epsilon: float) -> float:
 
     The one noise rule of both release routes: an L1 sensitivity of
     ``sensitivity`` at budget ``epsilon`` needs Lap(sensitivity / epsilon).
-    The test engine adds no noise, so its scale is 0.
+    The test engine adds no noise, so its scale is 0.  A scale that overflows is refused.
     """
     if engine not in ENGINES:
         raise ContractViolation(f"unknown release engine {engine!r}")
-    return 0.0 if engine == "zero-noise-test" else sensitivity / epsilon
+    # Python floats: an overflowing division gives inf, not a numpy warning
+    scale = 0.0 if engine == "zero-noise-test" else float(sensitivity) / float(epsilon)
+    if not np.isfinite(scale):
+        raise ContractViolation(f"epsilon={epsilon} gives a non-finite noise scale")
+    return scale
 
 
 @dataclass(frozen=True)
@@ -578,11 +581,6 @@ class CutRows:
         return count
 
 
-def cut_sums(matrix: np.ndarray, s_rows: np.ndarray, t_rows: np.ndarray) -> np.ndarray:
-    """Counted-once cut sums of a symmetric matrix for every (S, T) row."""
-    return CutRows(s_rows, t_rows).sums(matrix)
-
-
 _AUDIT_BLOCK = 128  # family rows unpacked per CutRows, which bounds a pass's float masks
 
 
@@ -598,6 +596,10 @@ class CutFamily:
     Bernoulli rows cost 1/64 of a double per vertex.  :meth:`sums`
     unpacks ``_AUDIT_BLOCK`` rows per :class:`CutRows`, so a pass takes
     O(block * n) float memory whatever the family's size.
+
+    :meth:`deviation` is the one sampled cut-residual estimator: the
+    merge audit reads ``x - W+`` and ``(1 - x) - W-`` through it, and
+    :func:`~privcc.release_weighted.sampled_cut_distance` reads ``a - b``.
     """
 
     __slots__ = ("n", "_s", "_t")
@@ -628,15 +630,31 @@ class CutFamily:
         s, t = self._rows(i, i + 1)
         return s[0], t[0]
 
-    def sums(self, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Counted-once cut sums of a symmetric matrix over every row, and the cut sizes."""
-        parts = []
-        for a in range(0, self._s.shape[0], _AUDIT_BLOCK):
-            block = CutRows(*self._rows(a, a + _AUDIT_BLOCK))
-            parts.append((block.sums(matrix), block.sizes))
-            del block  # the next block's float masks are made without this one's
-        sums, sizes = zip(*parts)
-        return np.concatenate(sums), np.concatenate(sizes)
+    def sums(self, matrix: np.ndarray) -> np.ndarray:
+        """Counted-once cut sums of a symmetric matrix over every row."""
+        blocks = range(0, self._s.shape[0], _AUDIT_BLOCK)
+        # each block's CutRows, and with it its float masks, goes before the next is made
+        sums = [CutRows(*self._rows(a, a + _AUDIT_BLOCK)).sums(matrix) for a in blocks]
+        return np.concatenate(sums)
+
+    def deviation(self, residual: np.ndarray, matrix: np.ndarray) -> tuple[float, np.ndarray]:
+        """The largest |r| over single pairs and over this family's cuts, and the cut sums.
+
+        ``residual`` holds one value per pair in canonical order.  It is
+        written onto ``matrix``, an n-by-n buffer the caller keeps, with a
+        zero diagonal, so the buffer holds the residual matrix afterwards.
+        """
+        iu, iv = canonical_pairs(self.n)
+        matrix[iu, iv] = residual
+        matrix[iv, iu] = residual
+        np.fill_diagonal(matrix, 0.0)
+        cuts = self.sums(matrix)
+        return max(_largest_abs(residual), _largest_abs(cuts)), cuts
+
+
+def _largest_abs(res: np.ndarray) -> float:
+    """``max |res|``, 0 for an empty residual, with no array of absolute values."""
+    return float(max(res.max(), -res.min())) if res.size else 0.0
 
 
 def disagreement_cut_form(clustering: Clustering, graph: SignedGraph) -> float:

@@ -49,20 +49,15 @@ boolean mask did, so x is the same bit for bit.
 
 The audit family comes from a stream of its own,
 ``Generator(rng.bit_generator.jumped())``, which leaves ``rng`` where it
-was.  The rounding then draws right after the noise (per-edge) or the
-training family (sampled LP), so the released graph does not depend on
-the audit's budget or sampler.  The audit family is a
-:class:`~privcc.graphs.CutFamily`, the sampled family
-:func:`~privcc.release_weighted.sampled_cut_distance` draws too: the
-training family's distribution row for row, drawn in one vectorized
-pass as packed bits and summed a block of rows at a time, so its float
-masks and products take O(block * n) memory instead of O(rows * n) for
-its 8n rows.  The counted-once cut sum is linear, so each row takes two
-products, not one each for x, W+ and W-: ``cut+ = S(x - W+)`` and
-``cut- = sizes - S(x + W-)``.  The two residual matrices fill the
-merge's one n-by-n buffer in turn, each with a pass of its own over the
-family, so the audit holds one dense matrix and one per-pair residual at
-a time.
+was, so the released graph does not depend on the audit's budget or
+sampler.  It is a :class:`~privcc.graphs.CutFamily`: the training
+family's distribution, drawn as packed bits and summed a block of rows
+at a time, so its 8n rows take O(block * n) float memory.  lambda is the
+larger of two :meth:`~privcc.graphs.CutFamily.deviation` readings, of
+``x - W+`` and of ``(1 - x) - W-``, each written onto the merge's one
+n-by-n buffer: the cut sum is linear, so two products do the work of one
+each for x, W+ and W-.  :func:`~privcc.release_weighted.sampled_cut_distance`
+reads its channel difference through the same estimator.
 
 The training family keeps its row-by-row draw
 (:func:`_sample_set_pairs`), here with the loop, whose trajectory
@@ -181,11 +176,6 @@ def _sample_set_pairs(n: int, budget: int, rng: np.random.Generator):
     s_rows[budget:] = rng.random((budget, n)) < 0.5
     t_rows[budget:] = ~s_rows[budget:]
     return s_rows, t_rows
-
-
-def _largest_abs(res: np.ndarray) -> float:
-    """``max |res|``, 0 for an empty residual, with no array of absolute values."""
-    return float(max(res.max(), -res.min())) if res.size else 0.0
 
 
 def _max_violation(pair_plus, pair_minus, cut_plus, cut_minus):
@@ -307,22 +297,18 @@ def solve_merge_lp(
     # a stream of their own so that rng's later draws do not depend on them
     audit_rng = np.random.Generator(rng.bit_generator.jumped())
     family = CutFamily(n, constraint_budget, audit_rng)
-    # cut sums are linear, so cut+ = S(x - W+) and cut- = sizes - S(x + W-); each
-    # residual in turn fills x_mat and takes its own pass over the family, and
-    # res holds one per-pair residual at a time
+    # each residual in turn fills x_mat and takes its own pass over the family,
+    # and res holds one per-pair residual at a time
     res = np.subtract(x, wp)
-    cut_plus, sizes = family.sums(pair_matrix(res))
-    lam = max(_largest_abs(res), _largest_abs(cut_plus))
-    np.add(x, wm, out=res)
-    cut_x_wm, _ = family.sums(pair_matrix(res))
+    lam = family.deviation(res, x_mat)[0]
     np.subtract(1.0, x, out=res)
-    res -= wm  # the pair- residual (1 - x) - W-
-    lam = max(lam, _largest_abs(res), _largest_abs(sizes - cut_x_wm))
+    res -= wm  # the minus channel's residual (1 - x) - W-
+    lam = max(lam, family.deviation(res, x_mat)[0])
     return MergeSolution(
         x=x,
         lam=lam,
         strategy=strategy,
-        constraints_checked=2 * iu.size + 2 * sizes.size,
+        constraints_checked=2 * iu.size + 4 * constraint_budget,
         iterations_run=iterations_run,
         stop=stop,
         best_iteration=best_iteration,

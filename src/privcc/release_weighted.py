@@ -27,12 +27,12 @@ import numpy as np
 from .graphs import (
     ContractViolation,
     CutFamily,
+    CutRows,
     PrivacyParams,
     ReleaseOutput,
     SignedGraph,
     WeightedChannel,
     canonical_pairs,
-    cut_sums,
     laplace_scale,
 )
 from .release_unweighted import laplace_release
@@ -104,7 +104,8 @@ def release_weighted(
 # Cut distance
 
 
-_EXACT_LIMIT = 10
+_EXACT_LIMIT = 10  # vertex counts up to this take the exact subset DP
+_ASCENT_STARTS = 1  # sampled rows a greedy ascent starts from, largest |cut| first
 
 
 def sampled_cut_distance(
@@ -112,35 +113,30 @@ def sampled_cut_distance(
     b: WeightedChannel,
     samples: int,
     rng: np.random.Generator,
-    exact_limit: int = _EXACT_LIMIT,
-    ascent_starts: int = 1,
 ) -> float:
     """Lower bound on the cut distance between two channels.
 
-    For ``n <= exact_limit`` the maximum of |cut(a) - cut(b)| over all
+    For ``n <= _EXACT_LIMIT`` the maximum of |cut(a) - cut(b)| over all
     set pairs is computed exactly by enumeration (finding this maximum is
     a rugged search problem and sampling alone misses it on a few percent
-    of instances even at n = 10).  Above that, the bound is the largest
-    of every singleton pair's |gap|, the |cut sums| of a
-    :class:`~privcc.graphs.CutFamily` of ``2 * samples`` rows (the
-    unweighted merge audit's sampled family), and greedy vertex-state
-    ascents started from the family's top ``ascent_starts`` rows.
+    of instances even at n = 10).  Above that, the bound is
+    :meth:`~privcc.graphs.CutFamily.deviation` of ``a - b`` over a family
+    of ``2 * samples`` rows (the merge audit's estimator: every single
+    pair's |gap| and every row's |cut sum|), raised by greedy vertex-state
+    ascents from the family's top ``_ASCENT_STARTS`` rows.
     """
     if a.n != b.n:
         raise ContractViolation("channels must share a vertex count")
     if samples < 1:
         raise ContractViolation("need at least one sample")
-    if ascent_starts < 1:
-        raise ContractViolation("need at least one ascent start")
     n = a.n
     gap = a.values - b.values
-    diff = WeightedChannel.adopt(n, gap).matrix()
-    if n <= exact_limit:
-        return _exact_cut_distance(diff)
+    if n <= _EXACT_LIMIT:
+        return _exact_cut_distance(WeightedChannel.adopt(n, gap).matrix())
     family = CutFamily(n, samples, rng)
-    cuts = np.abs(family.sums(diff)[0])
-    best = max(float(np.abs(gap).max(initial=0.0)), float(cuts.max()))
-    for i in np.argsort(-cuts, kind="stable")[:ascent_starts]:
+    diff = np.empty((n, n))
+    best, cuts = family.deviation(gap, diff)
+    for i in np.argsort(-np.abs(cuts), kind="stable")[:_ASCENT_STARTS]:
         best = max(best, _ascend(diff, *family.row(i)))
     return best
 
@@ -184,7 +180,7 @@ def _ascend(diff: np.ndarray, s: np.ndarray, t: np.ndarray):
     sum_s = diff @ only_s
     sum_t = diff @ only_t
     sum_b = diff @ both
-    f = float(cut_sums(diff, in_s[None], in_t[None])[0])
+    f = float(CutRows(in_s[None], in_t[None]).sums(diff)[0])
     best = abs(f)
     for _ in range(8 * n):
         # contribution of each vertex if placed into each state

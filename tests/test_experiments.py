@@ -82,6 +82,17 @@ class TestGenerate:
         with pytest.raises(ContractViolation, match="edge_weight"):
             InstanceSpec(kind=kind, n=6, edge_weight=weight)
 
+    def test_weighted_random_label_names_its_weight(self):
+        # cells that differ only in edge weight are different instances
+        specs = [
+            InstanceSpec(kind="weighted-random", n=6, weight_dist="exponential", edge_weight=w)
+            for w in (1.0, 40.0)
+        ]
+        assert specs[1].label() == (
+            "weighted-random(n=6,dist=exponential,w=40.0,density=1.0,seed=0)"
+        )
+        assert specs[0].label() != specs[1].label()
+
     @pytest.mark.parametrize("clusters", [5, 10])
     def test_planted_clusters_at_most_n(self, clusters):
         # more clusters than vertices cannot be planted: n singletons would carry a k=10 label

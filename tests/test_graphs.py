@@ -17,7 +17,7 @@ from privcc import (
     split_signs,
 )
 from privcc._rng import make_rng
-from privcc.graphs import CutRows, canonical_pairs, cut_sums
+from privcc.graphs import CutRows, canonical_pairs
 from privcc.io import format_edge_list, parse_edge_list
 
 from helpers import channel_from_matrix, channel_matrix, random_clustering, random_graph
@@ -141,7 +141,7 @@ class TestCuts:
             meets = (s_rows[:, pu] & t_rows[:, pv]) | (s_rows[:, pv] & t_rows[:, pu])
             assert CutRows(s_rows, t_rows).sizes.tolist() == meets.sum(axis=1).tolist()
             for sign in (1, -1):
-                got = cut_sums(channel_matrix(g, sign), s_rows, t_rows)
+                got = CutRows(s_rows, t_rows).sums(channel_matrix(g, sign))
                 want = [
                     signed_cut_weight(g, np.flatnonzero(s), np.flatnonzero(t), sign)
                     for s, t in zip(s_rows, t_rows)

@@ -433,10 +433,9 @@ class TestAudit:
                 # integer weights keep every cut sum exact, whatever the blocking
                 whole = CutRows(*want)
                 shapes.clear()
-                sums, sizes = family.sums(m)
+                sums = family.sums(m)
                 assert all(shape == (block, n) for shape in shapes[:-1])
                 assert np.array_equal(sums, whole.sums(m))
-                assert np.array_equal(sizes, whole.sizes)
 
     @pytest.mark.parametrize("n", [13, 64])
     def test_packed_family_is_the_sampled_family(self, n):
@@ -464,9 +463,32 @@ class TestAudit:
             family = CutFamily(n, budget, rng)
             whole = CutRows(*family_rows(family, 2 * budget))
             for m in mats:
-                sums, sizes = family.sums(m)
-                assert np.array_equal(sizes, whole.sizes)
-                assert np.array_equal(sums, whole.sums(m))
+                assert np.array_equal(family.sums(m), whole.sums(m))
+
+    @pytest.mark.parametrize("rows", [127, 128, 129, 257])
+    def test_deviation_is_exact_at_block_edges(self, rows):
+        # the constructor draws an even row count; trimming its packed rows
+        # gives the odd counts, one row short of, at and past a block edge
+        n = 20
+        family = CutFamily(n, -(-rows // 2), make_rng(72, rows))
+        family._s, family._t = family._s[:rows], family._t[:rows]
+        s_rows, t_rows = family_rows(family, rows)
+        pu, pv = np.triu_indices(n, 1)
+        meets = (s_rows[:, pu] & t_rows[:, pv]) | (s_rows[:, pv] & t_rows[:, pu])
+        # the largest cut is a block's last row, then the family's last row:
+        # weight pairs + 1 on its pairs and -1 elsewhere puts every other
+        # cut's |sum| below its own, so a family that drops it reads less
+        for top in {min(rows, _AUDIT_BLOCK) - 1, rows - 1}:
+            assert meets[top].any()
+            residual = np.where(meets[top], pu.size + 1.0, -1.0)
+            want_cuts = meets.astype(np.float64) @ residual  # integers: exact
+            want = max(pu.size + 1.0, float(np.abs(want_cuts).max()))
+            assert np.flatnonzero(np.abs(want_cuts) == want).tolist() == [top]
+            matrix = np.full((n, n), np.nan)  # deviation writes every cell
+            got, cuts = family.deviation(residual, matrix)
+            assert got == want
+            assert np.array_equal(cuts, want_cuts)
+            assert np.array_equal(matrix, WeightedChannel(n, residual).matrix())
 
     def test_family_needs_a_budget(self):
         with pytest.raises(ContractViolation):

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -14,12 +15,15 @@ from privcc import (
 )
 from privcc._rng import make_rng
 from privcc.experiments import InstanceSpec, generate_instance
-from privcc.graphs import cut_sums
+from privcc.graphs import CutRows
 from privcc.release_unweighted import laplace_release, release_unweighted
 from privcc.release_weighted import release_weighted, sampled_cut_distance
 
 import dp_harness
 from helpers import packed_family_reference, random_clustering, random_graph
+
+# the package's ``release_weighted`` attribute is the function
+release_weighted_module = importlib.import_module("privcc.release_weighted")
 
 
 def brute_force_cut_distance(a: WeightedChannel, b: WeightedChannel) -> float:
@@ -138,6 +142,18 @@ class TestEngines:
             else:
                 release_unweighted(g, PrivacyParams(1.0), None, make_rng(76), engine="what")
 
+    @pytest.mark.parametrize("route", ["weighted", "unweighted"])
+    def test_overflowing_noise_scale_refused(self, route):
+        # the noise scale overflows to inf; it used to fail later, on the noisy channel
+        g = random_graph(make_rng(75), 6, complete=True)
+        with pytest.raises(ContractViolation, match="epsilon=.*non-finite noise scale"):
+            if route == "weighted":
+                release_weighted(g, PrivacyParams(1e-310), "laplace", make_rng(76))
+            else:
+                release_unweighted(g, PrivacyParams(1e-310), None, make_rng(76))
+        # the test engine adds no noise at any epsilon
+        release_weighted(g, PrivacyParams(1e-310), "zero-noise-test", make_rng(76))
+
     @pytest.mark.parametrize("engine", ["laplace", "zero-noise-test"])
     def test_parallel_pairs_released_as_net_canonical_form(self, engine):
         # both channels of a pair carrying both signs cost only the net weight
@@ -254,8 +270,10 @@ class TestCutDistance:
             approx = sampled_cut_distance(a, b, 128, rng)
             assert approx == pytest.approx(exact, rel=1e-12)
 
-    def test_heuristic_branch_is_sound_lower_bound(self):
+    def test_heuristic_branch_is_sound_lower_bound(self, monkeypatch):
         # force the sampling + ascent path on sizes the exact path covers
+        monkeypatch.setattr(release_weighted_module, "_EXACT_LIMIT", 0)
+        monkeypatch.setattr(release_weighted_module, "_ASCENT_STARTS", 8)
         rng = make_rng(84)
         ratios = []
         for trial in range(60):
@@ -263,19 +281,20 @@ class TestCutDistance:
             a = WeightedChannel(n, rng.random(n * (n - 1) // 2) * 3)
             b = WeightedChannel(n, rng.random(n * (n - 1) // 2) * 3)
             exact = brute_force_cut_distance(a, b)
-            approx = sampled_cut_distance(a, b, 64, rng, exact_limit=0, ascent_starts=8)
+            approx = sampled_cut_distance(a, b, 64, rng)
             assert approx <= exact + 1e-9
             ratios.append(approx / exact)
         assert np.mean(ratios) >= 0.97  # near-exact on dense random inputs
 
-    def test_sampled_path_at_tiny_n(self):
+    def test_sampled_path_at_tiny_n(self, monkeypatch):
         # n = 1 has no pairs at all, so the singleton maximum sees an empty gap
+        monkeypatch.setattr(release_weighted_module, "_EXACT_LIMIT", 0)
         rng = make_rng(85)
         for n in (1, 2, 3):
             for trial in range(20):
                 a = WeightedChannel(n, rng.random(n * (n - 1) // 2) * 3)
                 b = WeightedChannel(n, rng.random(n * (n - 1) // 2) * 3)
-                approx = sampled_cut_distance(a, b, 4, rng, exact_limit=0)
+                approx = sampled_cut_distance(a, b, 4, rng)
                 if n == 1:
                     assert approx == 0.0
                 else:
@@ -290,7 +309,7 @@ class TestCutDistance:
             got = sampled_cut_distance(a, b, samples, make_rng(87, n))
             family = packed_family_reference(n, samples, make_rng(87, n))
             # integer weights keep every cut sum exact, whatever the blocking
-            cuts = cut_sums(a.matrix(), *family)
+            cuts = CutRows(*family).sums(a.matrix())
             assert got >= np.abs(a.values).max()
             assert got >= np.abs(cuts).max()
 
@@ -298,13 +317,6 @@ class TestCutDistance:
         a = WeightedChannel(4, np.zeros(6))
         with pytest.raises(ContractViolation):
             sampled_cut_distance(a, a, 0, make_rng(81))
-
-    @pytest.mark.parametrize("starts", [0, -1])
-    def test_needs_an_ascent_start(self, starts):
-        for n in (4, 12):  # refused on the exact path and on the sampled one
-            a = WeightedChannel(n, np.zeros(n * (n - 1) // 2))
-            with pytest.raises(ContractViolation):
-                sampled_cut_distance(a, a, 8, make_rng(81), ascent_starts=starts)
 
 
 class TestObjectiveTransfer:
