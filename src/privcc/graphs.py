@@ -27,6 +27,7 @@ unweighted graphs.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
@@ -529,20 +530,21 @@ def signed_cut_weight(graph: SignedGraph, s, t, sign: int) -> float:
 class CutRows:
     """(S, T) rows from boolean (rows, n) masks, prepared for cut sums.
 
-    Holds the float masks ``s`` and ``t``, the indices ``meet`` of the rows
-    where S and T overlap, those rows' overlap masks ``r`` (the overlap is
-    empty elsewhere) and ``sizes``, the number of pairs each cut counts.
+    Holds the float masks ``s`` and ``t`` (of ``dtype``), the indices
+    ``meet`` of the rows where S and T overlap, those rows' overlap masks
+    ``r`` (the overlap is empty elsewhere) and ``sizes``, the number of
+    pairs each cut counts.
     """
 
     __slots__ = ("s", "t", "meet", "r", "sizes", "_shared")
 
-    def __init__(self, s_rows: np.ndarray, t_rows: np.ndarray):
+    def __init__(self, s_rows: np.ndarray, t_rows: np.ndarray, dtype=np.float64):
         overlap = s_rows & t_rows
-        self.s = s_rows.astype(np.float64)
-        self.t = t_rows.astype(np.float64)
+        self.s = s_rows.astype(dtype)
+        self.t = t_rows.astype(dtype)
         self.meet = np.flatnonzero(overlap.any(axis=1))
-        self.r = overlap[self.meet].astype(np.float64)
-        rsz = overlap.sum(axis=1).astype(np.float64)
+        self.r = overlap[self.meet].astype(dtype)
+        rsz = overlap.sum(axis=1).astype(dtype)
         self.sizes = self.s.sum(axis=1) * self.t.sum(axis=1) - 0.5 * rsz * (rsz + 1.0)
         self._shared = (-1, None)  # the last row asked of shared_pairs, and its counts
 
@@ -600,6 +602,9 @@ class CutFamily:
     :meth:`deviation` is the one sampled cut-residual estimator: the
     merge audit reads ``x - W+`` and ``(1 - x) - W-`` through it, and
     :func:`~privcc.release_weighted.sampled_cut_distance` reads ``a - b``.
+    It sums every row in float32 and re-sums in float64 only the blocks
+    whose rows can reach the largest |cut|, so what it reports is
+    :meth:`sums`'s float64 value.
     """
 
     __slots__ = ("n", "_s", "_t")
@@ -637,19 +642,102 @@ class CutFamily:
         sums = [CutRows(*self._rows(a, a + _AUDIT_BLOCK)).sums(matrix) for a in blocks]
         return np.concatenate(sums)
 
-    def deviation(self, residual: np.ndarray, matrix: np.ndarray) -> tuple[float, np.ndarray]:
-        """The largest |r| over single pairs and over this family's cuts, and the cut sums.
+    def deviation(
+        self, residual: np.ndarray, matrix: np.ndarray, top: int = 1
+    ) -> tuple[float, np.ndarray]:
+        """The largest |r| over single pairs and this family's cuts, and the top rows.
 
         ``residual`` holds one value per pair in canonical order.  It is
         written onto ``matrix``, an n-by-n buffer the caller keeps, with a
         zero diagonal, so the buffer holds the residual matrix afterwards.
+        With ``cuts = self.sums(matrix)``, the float64 kernel's sums, the
+        value is ``max(|residual|, |cuts|)`` and the rows are
+        ``np.argsort(-abs(cuts), kind="stable")[:top]``, both bit for bit.
+
+        Every row is first summed in float32 (:meth:`_rough_sums`), which
+        puts it within a certified E_i of 2^e times its float64 sum.  Row i
+        can be among the ``top`` largest |cut| only if ``|est_i| + E_i``
+        reaches the ``top``-th largest ``|est_j| - E_j``; only the blocks
+        holding such rows are re-summed by the float64 kernel, block for
+        block as :meth:`sums` sums them, and the answer is read from those
+        sums alone.
         """
+        pairs = _largest_abs(residual)
+        est, bound = self._rough_sums(residual, matrix, pairs)
         iu, iv = canonical_pairs(self.n)
         matrix[iu, iv] = residual
         matrix[iv, iu] = residual
         np.fill_diagonal(matrix, 0.0)
-        cuts = self.sums(matrix)
-        return max(_largest_abs(residual), _largest_abs(cuts)), cuts
+        k = est.size - min(max(top, 1), est.size)  # the top-th largest lower bound sits at k
+        cand = np.flatnonzero(est + bound >= np.partition(est - bound, k)[k])
+        exact = np.empty(cand.size)
+        for a in sorted({i - i % _AUDIT_BLOCK for i in cand.tolist()}):
+            here = (cand >= a) & (cand < a + _AUDIT_BLOCK)
+            exact[here] = CutRows(*self._rows(a, a + _AUDIT_BLOCK)).sums(matrix)[cand[here] - a]
+        order = np.argsort(-np.abs(exact), kind="stable")
+        return max(pairs, float(abs(exact[order[0]]))), cand[order[:top]]
+
+    def _rough_sums(
+        self, residual: np.ndarray, matrix: np.ndarray, peak: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """|float32 cut sums| of the residual matrix times 2^e, and a bound on each one's error.
+
+        ``2^e`` puts ``peak``, the largest |residual|, in [1/2, 1) (below
+        that for a peak under 2^-1023), so float32 neither overflows nor
+        goes subnormal on the scaled matrix.
+        Each cut term is rounded once by the cast and at most |S| + |T| - 1
+        times by the sums in any order (an overlap term at most 2|R| - 1
+        times, and R lies in S and T), so by the k-term summation bound
+        gamma_k = k u / (1 - k u), u = 2^-24 (Higham, *Accuracy and
+        Stability of Numerical Algorithms*, 2nd ed., 2002, ch. 3) row i's
+        float32 sum is within gamma_{|S|+|T|} times its mass of the exact
+        sum.  With rho the row sums of the scaled |matrix|, the mass is at
+        most min(S.rho, T.rho) + R.rho / 2: S x T's terms, plus half of
+        R x R's.  Summed in float32, rho and the masses come out at least
+        1 - gamma_{2n} times their true values, hence the division by it.
+        A factor 1 + 2^-20 covers the float64 kernel's own error (the same
+        bound at u = 2^-53, 2^-29 of this one) and the round-off in the
+        bound itself, and 8 (n + 1)^2 roundings of 2^-126 (2^-1022 in
+        float64, times 2^e) cover underflow, gradual or flushed, in either
+        precision.  No bound assumes an error growing like sqrt(n) or a
+        BLAS blocking.
+
+        The pass runs in ``matrix``'s own bytes, a C-ordered float64
+        buffer that :meth:`deviation` fills only afterwards: the scaled
+        float32 matrix takes their first half and the scaled residual the
+        second, so no second matrix is allocated.
+        """
+        n = self.n
+        iu, iv = canonical_pairs(n)
+        scale = math.ldexp(1.0, min(-math.frexp(peak)[1], 1023))  # 2^1024 is past float64
+        room = matrix.view(np.float32).reshape(-1)
+        scaled, flat = room[: n * n].reshape(n, n), room[n * n : n * n + residual.size]
+        np.multiply(residual, scale, out=flat, casting="same_kind")
+        scaled[iu, iv] = scaled[iv, iu] = flat
+        np.fill_diagonal(scaled, 0.0)
+        # ones beside rho, the row sums of |scaled| (a block of rows at a time:
+        # no n-by-n temporary), so one product gives a row's count and mass
+        weights = np.ones((n, 2), dtype=np.float32)
+        for a in range(0, n, _AUDIT_BLOCK):
+            weights[a : a + _AUDIT_BLOCK, 1] = np.abs(scaled[a : a + _AUDIT_BLOCK]).sum(axis=1)
+        est, terms, mass = np.empty((3, self._s.shape[0]))
+        for a in range(0, est.size, _AUDIT_BLOCK):
+            rows = CutRows(*self._rows(a, a + _AUDIT_BLOCK), dtype=np.float32)
+            b = a + rows.s.shape[0]
+            est[a:b] = np.abs(rows.sums(scaled))
+            (s_count, s_mass), (t_count, t_mass) = (rows.s @ weights).T, (rows.t @ weights).T
+            terms[a:b] = s_count + t_count
+            mass[a:b] = np.minimum(s_mass, t_mass)
+            mass[a + rows.meet] += 0.5 * (rows.r @ weights[:, 1])
+            del rows  # its float masks go before the next block's are made
+        slack = (1.0 + 2.0**-20) / (1.0 - _gamma32(2 * n))
+        tiny = 8.0 * (n + 1) ** 2 * (2.0**-126 + scale * 2.0**-1022)
+        return est, _gamma32(terms) * mass * slack + tiny
+
+
+def _gamma32(k):
+    """Higham's ``gamma_k = k u / (1 - k u)`` at float32's unit round-off ``u = 2^-24``."""
+    return k * 2.0**-24 / (1.0 - k * 2.0**-24)
 
 
 def _largest_abs(res: np.ndarray) -> float:

@@ -135,8 +135,8 @@ def sampled_cut_distance(
         return _exact_cut_distance(WeightedChannel.adopt(n, gap).matrix())
     family = CutFamily(n, samples, rng)
     diff = np.empty((n, n))
-    best, cuts = family.deviation(gap, diff)
-    for i in np.argsort(-np.abs(cuts), kind="stable")[:_ASCENT_STARTS]:
+    best, starts = family.deviation(gap, diff, _ASCENT_STARTS)
+    for i in starts:
         best = max(best, _ascend(diff, *family.row(i)))
     return best
 

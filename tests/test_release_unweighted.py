@@ -389,6 +389,38 @@ def integer_channel(rng, n):
     return WeightedChannel(n, rng.integers(-3, 4, size=n * (n - 1) // 2).astype(float))
 
 
+def near_tied_family(n, rng):
+    """A ``CutFamily`` whose rows are balanced halves S, cut against S and then V minus S.
+
+    The complement rows all count the same n^2 / 4 pairs.
+    """
+    budget = 2 * n + 3
+    family = CutFamily(n, budget, rng)
+    halves = np.packbits(np.argsort(rng.random((2 * budget, n)), axis=1) < n // 2, axis=1)
+    family._s, family._t = halves, np.concatenate([halves[:budget], ~halves[budget:]])
+    return family
+
+
+def near_tied_residual(n, rng):
+    """1 plus offsets of 1e-7 * n / 2 relative, one per pair.
+
+    On a :func:`near_tied_family` the complement rows' sums then spread by
+    about 1e-7 relative, which float32 does not resolve: only the float64
+    re-sum can order them.
+    """
+    return 1.0 + 5e-8 * n * rng.standard_normal(n * (n - 1) // 2)
+
+
+def assert_deviation_is_float64(family, residual, top):
+    """``deviation`` gives the float64 kernel's value and top rows bit for bit; returns |sums|."""
+    matrix = np.empty((family.n, family.n))
+    got, rows = family.deviation(residual, matrix, top)
+    cuts = np.abs(family.sums(matrix))
+    assert got == max(np.abs(residual).max(initial=0.0), cuts.max())
+    assert np.array_equal(rows, np.argsort(-cuts, kind="stable")[:top])
+    return cuts
+
+
 class TestAudit:
     # audit row counts 2 * budget just below, at and just above one block,
     # and just above two
@@ -485,10 +517,38 @@ class TestAudit:
             want = max(pu.size + 1.0, float(np.abs(want_cuts).max()))
             assert np.flatnonzero(np.abs(want_cuts) == want).tolist() == [top]
             matrix = np.full((n, n), np.nan)  # deviation writes every cell
-            got, cuts = family.deviation(residual, matrix)
+            got, rows = family.deviation(residual, matrix)
             assert got == want
-            assert np.array_equal(cuts, want_cuts)
+            assert rows.tolist() == [top]
             assert np.array_equal(matrix, WeightedChannel(n, residual).matrix())
+            assert np.array_equal(family.sums(matrix), want_cuts)
+
+    @pytest.mark.parametrize("n", [1, 2, 13, 64])
+    @pytest.mark.parametrize("block", [1, 7, _AUDIT_BLOCK])
+    def test_deviation_certifies_near_ties(self, monkeypatch, n, block):
+        monkeypatch.setattr(graphs_module, "_AUDIT_BLOCK", block)
+        rng = make_rng(95, n)
+        family = near_tied_family(n, rng)
+        for base in (1.0, -3.0):
+            residual = base * near_tied_residual(n, rng)
+            for top in (1, 8):
+                cuts = assert_deviation_is_float64(family, residual, top)
+            if n >= 13:
+                # the test bites: the top two sums differ, by less than float32's spacing
+                first, second = np.sort(cuts)[::-1][:2]
+                assert 0 < first - second < np.spacing(np.float32(first))
+
+    @pytest.mark.parametrize("scale", [1e39, 1e30, 1e-30, 1e-40, 1e-44, 1e-320, 0.0])
+    def test_deviation_at_range_edges(self, scale):
+        # unscaled, 1e39 overflows float32 (a RuntimeWarning, which
+        # pyproject.toml makes an error), and below about 1e-38 float32 is
+        # subnormal: at 1e-44 it holds a few steps of 1.4e-45, where a
+        # bound relative to the sums alone is false; 1e-320 is subnormal in
+        # float64, and scaling it to [1/2, 1) would need 2^1064
+        rng = make_rng(96, 5)
+        family = near_tied_family(40, rng)
+        for residual in (rng.standard_normal(40 * 39 // 2), near_tied_residual(40, rng)):
+            assert_deviation_is_float64(family, scale * residual, 8)
 
     def test_family_needs_a_budget(self):
         with pytest.raises(ContractViolation):
@@ -621,7 +681,9 @@ class TestReleaseUnweighted:
     def test_per_edge_release_peak_memory(self):
         # tracemalloc's peak over one release, in n-by-n float64 matrices:
         # 7.8 while the audit held two residual matrices and each block's
-        # masks were made beside the last one's; 4.7 with one of each
+        # masks were made beside the last one's; 4.7 with one of each; 4.3
+        # with the float32 pass in the residual buffer's own bytes, its
+        # blocks half the bytes of the float64 ones
         n = 400
         graph, _ = generate_instance(
             InstanceSpec(kind="planted", n=n, clusters=4, flip_prob=0.05, seed=1)
