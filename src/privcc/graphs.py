@@ -531,12 +531,11 @@ class CutRows:
     """(S, T) rows from boolean (rows, n) masks, prepared for cut sums.
 
     Holds the float masks ``s`` and ``t`` (of ``dtype``), the indices
-    ``meet`` of the rows where S and T overlap, those rows' overlap masks
-    ``r`` (the overlap is empty elsewhere) and ``sizes``, the number of
-    pairs each cut counts.
+    ``meet`` of the rows where S and T overlap, and those rows' overlap
+    masks ``r`` (the overlap is empty elsewhere): what :meth:`sums` reads.
     """
 
-    __slots__ = ("s", "t", "meet", "r", "sizes", "_shared")
+    __slots__ = ("s", "t", "meet", "r")
 
     def __init__(self, s_rows: np.ndarray, t_rows: np.ndarray, dtype=np.float64):
         overlap = s_rows & t_rows
@@ -544,9 +543,6 @@ class CutRows:
         self.t = t_rows.astype(dtype)
         self.meet = np.flatnonzero(overlap.any(axis=1))
         self.r = overlap[self.meet].astype(dtype)
-        rsz = overlap.sum(axis=1).astype(dtype)
-        self.sizes = self.s.sum(axis=1) * self.t.sum(axis=1) - 0.5 * rsz * (rsz + 1.0)
-        self._shared = (-1, None)  # the last row asked of shared_pairs, and its counts
 
     def sums(self, matrix: np.ndarray) -> np.ndarray:
         """Cut sums ``s' M t - (r' M r) / 2`` of a symmetric M, each pair once."""
@@ -558,29 +554,6 @@ class CutRows:
         product *= self.r
         cs[self.meet] -= 0.5 * product.sum(axis=1)
         return cs
-
-    def shared_pairs(self, i: int) -> np.ndarray:
-        """Pairs each row's cut shares with row ``i``'s cut; ``sums(H_i)``.
-
-        ``H_i = s t' + t s' - r r' - diag(r)`` is the 0/1 pair mask of cut
-        i, so every term is a product of row dots with i's three masks:
-        three (3, n) by (n, rows) products instead of one with an n-by-n
-        matrix.  The counts are integers, so exact in float64.  The last
-        row's counts are kept and returned read-only, since the merge steps
-        one row many times running.
-        """
-        if self._shared[0] == i:
-            return self._shared[1]
-        s, t = self.s[i], self.t[i]
-        masks = np.stack([s, t, s * t])
-        a_s, a_t, a_r = masks @ self.s.T
-        b_s, b_t, b_r = masks @ self.t.T
-        count = a_s * b_t + a_t * b_s - a_r * b_r
-        q_s, q_t, q_r = masks @ self.r.T
-        count[self.meet] -= q_r + 0.5 * (2.0 * q_s * q_t - q_r**2 - q_r)
-        count.flags.writeable = False
-        self._shared = (i, count)
-        return count
 
 
 _AUDIT_BLOCK = 128  # family rows unpacked per CutRows, which bounds a pass's float masks

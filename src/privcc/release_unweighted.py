@@ -33,19 +33,20 @@ one (see the audit below).
 The training cut sums are kept between iterations.  A cut step moves x
 by the same amount on every pair meeting the cut, so when the clamp
 moves no pair each cut sum changes by that amount times the pairs its
-cut shares with the stepped one (:meth:`CutRows.shared_pairs`, three
-thin products instead of one with an n-by-n matrix).  The sums are
+cut shares with the stepped one (:func:`_shared_pairs`, three thin
+products instead of one with an n-by-n matrix).  The sums are
 recomputed in full after a step the clamp cut short, after a pair step,
 and every ``_RESYNC`` iterations, which bounds float drift.
 
-The loop keeps the last stepped row's step data: the indices of the
-pairs meeting its cut here, its shared-pair counts in
-:meth:`CutRows.shared_pairs`.  Both depend on the row alone, and on
-noisy instances the loop steps one row most of the time (one complement
-cut took 154-290 of 300 steps in the benchmark's planted n=200 cells),
-so a repeated step costs one clip and one axpy instead of a pass over
-every pair and three products.  The indices address x in the order the
-boolean mask did, so x is the same bit for bit.
+The loop keeps its own state: the cut sizes of its rows, and one memo
+for the last stepped row, the indices of the pairs meeting its cut and,
+from its first unclipped step, its shared-pair counts.  Both depend on
+the row alone, and on noisy instances the loop steps one row most of
+the time (one complement cut took 154-290 of 300 steps in the
+benchmark's planted n=200 cells), so a repeated step costs one clip and
+one axpy instead of a pass over every pair and three products.  The
+indices address x in the order the boolean mask did, so x is the same
+bit for bit.
 
 The audit family comes from a stream of its own,
 ``Generator(rng.bit_generator.jumped())``, which leaves ``rng`` where it
@@ -183,6 +184,24 @@ def _sample_set_pairs(n: int, budget: int, rng: np.random.Generator):
     return s_rows, t_rows
 
 
+def _shared_pairs(rows: CutRows, i: int) -> np.ndarray:
+    """Pairs each row's cut shares with row ``i``'s cut; ``rows.sums(H_i)``.
+
+    ``H_i = s t' + t s' - r r' - diag(r)`` is the 0/1 pair mask of cut
+    i, so every term is a product of row dots with i's three masks:
+    three (3, n) by (n, rows) products instead of one with an n-by-n
+    matrix.  The counts are integers, so exact in float64.
+    """
+    s, t = rows.s[i], rows.t[i]
+    masks = np.stack([s, t, s * t])
+    a_s, a_t, a_r = masks @ rows.s.T
+    b_s, b_t, b_r = masks @ rows.t.T
+    count = a_s * b_t + a_t * b_s - a_r * b_r
+    q_s, q_t, q_r = masks @ rows.r.T
+    count[rows.meet] -= q_r + 0.5 * (2.0 * q_s * q_t - q_r**2 - q_r)
+    return count
+
+
 def _max_violation(pair_plus, pair_minus, cut_plus, cut_minus):
     """Largest absolute residual over singleton pairs and cut rows.
 
@@ -253,16 +272,20 @@ def solve_merge_lp(
 
     if strategy == "sampled-lp":
         rows = CutRows(*_sample_set_pairs(n, constraint_budget, rng))
+        # the pairs each cut counts, exact integers in float64
+        sizes = rows.s.sum(axis=1) * rows.t.sum(axis=1)
+        rsz = rows.r.sum(axis=1)
+        sizes[rows.meet] -= 0.5 * rsz * (rsz + 1.0)
         tp, tm = rows.sums(pair_matrix(wp)), rows.sums(pair_matrix(wm))
         cs = rows.sums(pair_matrix(x))
         best_lam = np.inf
         best_x = x.copy()
         stale = 0
-        stepped = (-1, None)  # the last stepped cut row and the pairs meeting its cut
+        stepped, hit, shared = -1, None, None  # the last stepped cut row's step data
         stop = "budget"
         for t in range(1, iterations + 1):
             lam, kind, idx, signed = _max_violation(
-                x - wp, (1.0 - x) - wm, cs - tp, (rows.sizes - cs) - tm
+                x - wp, (1.0 - x) - wm, cs - tp, (sizes - cs) - tm
             )
             if not np.isfinite(best_lam) or lam < best_lam - 1e-6 * max(best_lam, 1.0):
                 best_lam = lam
@@ -281,19 +304,21 @@ def solve_merge_lp(
                 x[idx] = np.clip(x[idx] - step * delta, 0.0, 1.0)
                 full = True
             else:
-                if stepped[0] != idx:
+                if stepped != idx:
                     # the gradient is 1 on pairs meeting the cut and 0 elsewhere
                     s, tt = rows.s[idx] > 0, rows.t[idx] > 0
-                    stepped = (idx, np.flatnonzero((s[iu] & tt[iv]) | (s[iv] & tt[iu])))
-                hit = stepped[1]
+                    stepped, shared = idx, None
+                    hit = np.flatnonzero((s[iu] & tt[iv]) | (s[iv] & tt[iu]))
                 delta = signed if kind == "cut+" else -signed
-                shift = step * delta / max(rows.sizes[idx], 1.0)
+                shift = step * delta / max(sizes[idx], 1.0)
                 moved = x[hit] - shift
                 kept = np.clip(moved, 0.0, 1.0)
                 x[hit] = kept
                 full = not np.array_equal(kept, moved)  # the clamp moved a pair
                 if not full:
-                    cs -= shift * rows.shared_pairs(idx)
+                    if shared is None:
+                        shared = _shared_pairs(rows, idx)
+                    cs -= shift * shared
             if full or t % _RESYNC == 0:
                 cs = rows.sums(pair_matrix(x))
         x = best_x

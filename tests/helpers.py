@@ -50,6 +50,12 @@ def channel_matrix(graph, sign):
     return m
 
 
+def cut_sizes(s_rows, t_rows):
+    """Pairs meeting each (S, T) row's cut, one end in S and the other in T, counted by brute force."""
+    pu, pv = np.triu_indices(s_rows.shape[1], 1)
+    return ((s_rows[:, pu] & t_rows[:, pv]) | (s_rows[:, pv] & t_rows[:, pu])).sum(axis=1)
+
+
 def channel_from_matrix(m):
     """The :class:`WeightedChannel` of a symmetric matrix's upper triangle."""
     m = np.asarray(m, dtype=np.float64)

@@ -21,6 +21,7 @@ from privcc import (
 )
 from privcc._rng import make_rng
 from privcc.expmech import exact_output_distribution
+from privcc.graphs import CutFamily
 from privcc.experiments import (
     InstanceSpec,
     PipelineConfig,
@@ -207,17 +208,8 @@ def test_criterion_05_laplace_release_statistics():
 
 def sampled_family_deviation(g, released, n, rng):
     """Max |cut(G+) - cut(H+)| over singletons and a fresh sampled family."""
-    from privcc.graphs import CutRows
-    from privcc.release_unweighted import _sample_set_pairs
-
     diff_flat = g.channel_flat(1) - released.channel_flat(1)
-    best = float(np.abs(diff_flat).max(initial=0.0))
-    s_rows, t_rows = _sample_set_pairs(n, 4 * n, rng)
-    pu, pv = np.triu_indices(n, 1)
-    diff = np.zeros((n, n))
-    diff[pu, pv] = diff_flat
-    diff[pv, pu] = diff_flat
-    return max(best, float(np.abs(CutRows(s_rows, t_rows).sums(diff)).max()))
+    return CutFamily(n, 4 * n, rng).deviation(diff_flat, np.empty((n, n)))[0]
 
 
 def test_criterion_06_cut_deviation_scaling():

@@ -20,7 +20,7 @@ from privcc._rng import make_rng
 from privcc.graphs import CutRows, canonical_pairs
 from privcc.io import format_edge_list, parse_edge_list
 
-from helpers import channel_from_matrix, channel_matrix, random_clustering, random_graph
+from helpers import channel_from_matrix, channel_matrix, cut_sizes, random_clustering, random_graph
 
 
 def triangle():
@@ -136,10 +136,9 @@ class TestCuts:
                 s_rows.append(z == 1)
                 t_rows.append(z == 2)
             s_rows, t_rows = np.array(s_rows), np.array(t_rows)
-            # sizes: pairs with one end in S and the other in T, counted once
-            pu, pv = np.triu_indices(n, 1)
-            meets = (s_rows[:, pu] & t_rows[:, pv]) | (s_rows[:, pv] & t_rows[:, pu])
-            assert CutRows(s_rows, t_rows).sizes.tolist() == meets.sum(axis=1).tolist()
+            # the kernel counts each pair once: the all-ones pair matrix sums to the cut size
+            ones = np.ones((n, n)) - np.eye(n)
+            assert CutRows(s_rows, t_rows).sums(ones).tolist() == cut_sizes(s_rows, t_rows).tolist()
             for sign in (1, -1):
                 got = CutRows(s_rows, t_rows).sums(channel_matrix(g, sign))
                 want = [
@@ -148,54 +147,6 @@ class TestCuts:
                 ]
                 assert got.shape == (len(want),)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-    def test_shared_pairs_equal_cut_sums_of_pair_mask(self):
-        # rows of every kind: overlapping S != T, S == T, disjoint and
-        # complement; the count is exact, so equality is exact too
-        rng = make_rng(110)
-        for trial in range(30):
-            n = int(rng.integers(2, 26))
-            s_rows, t_rows = [], []
-            for _ in range(3):
-                s_rows.append(rng.random(n) < 0.5)
-                t_rows.append(rng.random(n) < 0.5)
-                same = rng.random(n) < 0.5
-                s_rows.append(same)
-                t_rows.append(same.copy())
-                z = rng.integers(0, 3, size=n)
-                s_rows.append(z == 1)
-                t_rows.append(z == 2)
-                s_rows.append(rng.random(n) < 0.5)
-                t_rows.append(~s_rows[-1])
-            s_rows, t_rows = np.array(s_rows), np.array(t_rows)
-            rows = CutRows(s_rows, t_rows)
-            pu, pv = np.triu_indices(n, 1)
-            for i in range(len(s_rows)):
-                s, t = s_rows[i], t_rows[i]
-                hit = (s[pu] & t[pv]) | (s[pv] & t[pu])
-                mask = WeightedChannel(n, hit.astype(np.float64)).matrix()
-                got = rows.shared_pairs(i)
-                assert got.tolist() == rows.sums(mask).tolist()
-                assert got[i] == rows.sizes[i]
-
-    def test_shared_pairs_follow_the_row_asked(self):
-        # the last row's counts are kept; asking rows i, j, i must give each
-        # row's own counts, byte for byte those of a fresh CutRows
-        rng = make_rng(111)
-        n = 20
-        s_rows = rng.random((6, n)) < 0.5
-        t_rows = rng.random((6, n)) < 0.5
-        t_rows[3:] = ~s_rows[3:]
-        rows = CutRows(s_rows, t_rows)
-        for i, j in ((0, 1), (2, 4), (5, 3)):
-            want = {r: CutRows(s_rows, t_rows).shared_pairs(r) for r in (i, j)}
-            assert want[i].tobytes() != want[j].tobytes()
-            for r in (i, j, i, i):
-                got = rows.shared_pairs(r)
-                assert got.tobytes() == want[r].tobytes()
-                assert not got.flags.writeable
-                with pytest.raises(ValueError):
-                    got[0] = -1.0
 
 
 class TestNeighborDistance:

@@ -26,6 +26,7 @@ from privcc.release_unweighted import (
     MergeConfig,
     _max_violation,
     _sample_set_pairs,
+    _shared_pairs,
     laplace_release,
     release_unweighted,
     round_to_signed,
@@ -33,7 +34,7 @@ from privcc.release_unweighted import (
 )
 
 import dp_harness
-from helpers import family_rows, packed_family_reference, random_graph
+from helpers import cut_sizes, family_rows, packed_family_reference, random_graph
 
 # the package's ``release_unweighted`` attribute is the function
 release_unweighted_module = importlib.import_module("privcc.release_unweighted")
@@ -114,13 +115,13 @@ def dense_gradient_merge(wplus, wminus, budget, rng, iterations):
     x_mat = np.clip((wp_mat + 1.0 - wm_mat) / 2.0, 0.0, 1.0)
     np.fill_diagonal(x_mat, 0.0)
     s_rows, t_rows = _sample_set_pairs(n, budget, rng)
-    rows = CutRows(s_rows, t_rows)
+    rows, sizes = CutRows(s_rows, t_rows), cut_sizes(s_rows, t_rows)
     tp, tm = rows.sums(wp_mat), rows.sums(wm_mat)
     best_lam, best_x, stale, run = np.inf, x_mat.copy(), 0, 0
     for t in range(1, iterations + 1):
         xp, cs = x_mat[iu, iv], rows.sums(x_mat)
         lam, kind, idx, signed = _max_violation(
-            xp - wp, (1.0 - xp) - wm, cs - tp, (rows.sizes - cs) - tm
+            xp - wp, (1.0 - xp) - wm, cs - tp, (sizes - cs) - tm
         )
         if not np.isfinite(best_lam) or lam < best_lam - 1e-6 * max(best_lam, 1.0):
             best_lam, best_x, stale = lam, x_mat.copy(), 0
@@ -142,7 +143,7 @@ def dense_gradient_merge(wplus, wminus, budget, rng, iterations):
             grad = grad + grad.T - np.outer(r, r)
             np.fill_diagonal(grad, 0.0)
             delta = signed if kind == "cut+" else -signed
-            x_mat -= (step * delta / max(rows.sizes[idx], 1.0)) * grad
+            x_mat -= (step * delta / max(sizes[idx], 1.0)) * grad
         np.clip(x_mat, 0.0, 1.0, out=x_mat)
         np.fill_diagonal(x_mat, 0.0)
     return best_x[iu, iv], run
@@ -166,26 +167,34 @@ class TestMerge:
 
     @staticmethod
     def spied_merge(monkeypatch, noisy_p, noisy_m, budget, seed, iterations):
-        """``solve_merge_lp`` and the reference, with the solver's paths counted.
+        """``solve_merge_lp`` and the reference, with the solver's paths logged.
 
-        Returns the kinds of the steps taken and the number of incremental
-        cut-sum updates, after checking the result against
-        ``dense_gradient_merge``.
+        Returns one ``[kind, row, recomputed]`` entry per step taken
+        (``recomputed``: the cut sums were summed in full after the step),
+        the ``(step, row)`` of every ``_shared_pairs`` call, and the
+        solution, after checking it against ``dense_gradient_merge``.
         """
-        kinds, updates = [], []
-        pick, shared = release_unweighted_module._max_violation, CutRows.shared_pairs
+        steps, asked = [], []
+        pick, shared = release_unweighted_module._max_violation, _shared_pairs
 
         def spy_pick(*args):
             out = pick(*args)
-            kinds.append(out[1])
+            steps.append([out[1], out[2], False])
             return out
 
-        def spy_shared(self, i):
-            updates.append(i)
-            return shared(self, i)
+        def spy_shared(rows, i):
+            asked.append((len(steps), i))
+            return shared(rows, i)
+
+        class SpiedRows(CutRows):
+            def sums(self, matrix):
+                if steps:  # the sums taken before the first step are no recompute
+                    steps[-1][2] = True
+                return super().sums(matrix)
 
         monkeypatch.setattr(release_unweighted_module, "_max_violation", spy_pick)
-        monkeypatch.setattr(CutRows, "shared_pairs", spy_shared)
+        monkeypatch.setattr(release_unweighted_module, "_shared_pairs", spy_shared)
+        monkeypatch.setattr(release_unweighted_module, "CutRows", SpiedRows)
         sol = solve_merge_lp(noisy_p, noisy_m, budget, make_rng(seed), iterations=iterations)
         monkeypatch.undo()
         want_x, want_run = dense_gradient_merge(
@@ -193,7 +202,13 @@ class TestMerge:
         )
         np.testing.assert_allclose(sol.x, want_x, rtol=0, atol=1e-12)
         assert sol.iterations_run == want_run
-        return kinds[: sol.iterations_run], len(updates), sol
+        return steps[: sol.iterations_run], asked, sol
+
+    @staticmethod
+    def cut_step_paths(steps):
+        """Counts of incremental and of clipped cut steps, off the resync schedule."""
+        off = [full for t, (kind, _, full) in enumerate(steps, 1) if kind[:3] == "cut" and t % _RESYNC]
+        return off.count(False), off.count(True)
 
     @staticmethod
     def noisy_channels(seed, n):
@@ -203,11 +218,9 @@ class TestMerge:
 
     def test_clipped_cut_steps_match_reference(self, monkeypatch):
         # noisy per-edge starts sit on the box bounds, so cut steps clip
-        steps, updates, _ = self.spied_merge(
-            monkeypatch, *self.noisy_channels(62, 30), None, 30, 120
-        )
-        cut_steps = sum(k.startswith("cut") for k in steps)
-        assert 0 < updates < cut_steps  # both the incremental and full path ran
+        steps, _, _ = self.spied_merge(monkeypatch, *self.noisy_channels(62, 30), None, 30, 120)
+        incremental, clipped = self.cut_step_paths(steps)
+        assert incremental > 0 and clipped > 0  # both the incremental and full path ran
 
     def test_pair_steps_match_reference(self, monkeypatch):
         pair_steps = 0
@@ -216,16 +229,14 @@ class TestMerge:
                 steps, _, _ = self.spied_merge(
                     monkeypatch, *self.noisy_channels(63 + n, n), budget, n, 80
                 )
-                pair_steps += sum(k.startswith("pair") for k in steps)
+                pair_steps += sum(kind.startswith("pair") for kind, _, _ in steps)
         assert pair_steps > 0
 
     def test_long_run_matches_reference(self, monkeypatch):
         # incremental updates run across several periodic exact recomputations
-        _, updates, sol = self.spied_merge(
-            monkeypatch, *self.noisy_channels(64, 30), None, 30, 400
-        )
+        steps, _, sol = self.spied_merge(monkeypatch, *self.noisy_channels(64, 30), None, 30, 400)
         assert sol.iterations_run > 3 * _RESYNC
-        assert updates > _RESYNC
+        assert self.cut_step_paths(steps)[0] > _RESYNC
 
     def test_repeated_cut_row_matches_reference(self, monkeypatch):
         # on a noisy planted instance the loop steps one complement cut over
@@ -236,20 +247,58 @@ class TestMerge:
         )
         rng = make_rng(1)
         noisy_p, noisy_m = (laplace_release(ch, 2.0, rng) for ch in indicator_channels(graph))
-        picked = []
-        pick = release_unweighted_module._max_violation
-
-        def spy_pick(*args):
-            out = pick(*args)
-            picked.append(out[1:3])
-            return out
-
-        monkeypatch.setattr(release_unweighted_module, "_max_violation", spy_pick)
-        steps, updates, sol = self.spied_merge(monkeypatch, noisy_p, noisy_m, None, 1, 300)
-        cut_rows = Counter(i for kind, i in picked[: len(steps)] if kind.startswith("cut"))
-        row, count = cut_rows.most_common(1)[0]
+        steps, asked, _ = self.spied_merge(monkeypatch, noisy_p, noisy_m, None, 1, 300)
+        cut_rows = [row for kind, row, _ in steps if kind.startswith("cut")]
+        row, count = Counter(cut_rows).most_common(1)[0]
         assert row >= 4 * n  # a complement row
-        assert count > 200 and updates > 200
+        incremental = sum(r == row and not full for _, r, full in steps)
+        assert count > 200 and incremental > 200
+        # its counts are summed once per run of steps on it, not once per step
+        runs = sum(r == row and (i == 0 or cut_rows[i - 1] != row) for i, r in enumerate(cut_rows))
+        assert 0 < sum(r == row for _, r in asked) <= runs < incremental // 10
+
+    def test_shared_pairs_follow_the_row_asked(self, monkeypatch):
+        # the loop asks for counts on the row it steps, once per run of steps
+        # on that row, and asks again after another row was stepped; stale
+        # counts from the previous row would move x off the reference
+        steps, asked, _ = self.spied_merge(monkeypatch, *self.noisy_channels(64, 30), None, 30, 400)
+        assert len({row for _, row in asked}) > 1
+        for (t, row), (t_next, row_next) in zip(asked, asked[1:] + [(len(steps) + 1, None)]):
+            kind, stepped, full = steps[t - 1]
+            assert kind.startswith("cut") and stepped == row
+            assert not full or t % _RESYNC == 0  # an unclipped step
+            # no second call for the row until another row was stepped
+            between = {r for kind, r, _ in steps[t : t_next - 1] if kind.startswith("cut")}
+            assert row_next != row or between - {row}
+
+    def test_shared_pairs_equal_cut_sums_of_pair_mask(self):
+        # rows of every kind: overlapping S != T, S == T, disjoint and
+        # complement; the count is exact, so equality is exact too
+        rng = make_rng(110)
+        for trial in range(30):
+            n = int(rng.integers(2, 26))
+            s_rows, t_rows = [], []
+            for _ in range(3):
+                s_rows.append(rng.random(n) < 0.5)
+                t_rows.append(rng.random(n) < 0.5)
+                same = rng.random(n) < 0.5
+                s_rows.append(same)
+                t_rows.append(same.copy())
+                z = rng.integers(0, 3, size=n)
+                s_rows.append(z == 1)
+                t_rows.append(z == 2)
+                s_rows.append(rng.random(n) < 0.5)
+                t_rows.append(~s_rows[-1])
+            s_rows, t_rows = np.array(s_rows), np.array(t_rows)
+            rows = CutRows(s_rows, t_rows)
+            pu, pv = np.triu_indices(n, 1)
+            for i in range(len(s_rows)):
+                s, t = s_rows[i], t_rows[i]
+                hit = (s[pu] & t[pv]) | (s[pv] & t[pu])
+                mask = WeightedChannel(n, hit.astype(np.float64)).matrix()
+                got = _shared_pairs(rows, i)
+                assert got.tolist() == rows.sums(mask).tolist()
+                assert got[i] == hit.sum()
 
     def test_best_iteration_and_training_lambda(self):
         noisy_p, noisy_m = self.noisy_channels(64, 30)
@@ -264,11 +313,12 @@ class TestMerge:
             lp.best_iteration, lp.training_lambda
         )
         # the training lambda is the returned x's worst violation on the training rows
-        rows = CutRows(*_sample_set_pairs(30, 120, make_rng(30)))
+        s_rows, t_rows = _sample_set_pairs(30, 120, make_rng(30))
+        rows, sizes = CutRows(s_rows, t_rows), cut_sizes(s_rows, t_rows)
         tp, tm = rows.sums(noisy_p.matrix()), rows.sums(noisy_m.matrix())
         cs = rows.sums(WeightedChannel(30, lp.x).matrix())
         lam, _, _, _ = _max_violation(
-            lp.x - noisy_p.values, (1.0 - lp.x) - noisy_m.values, cs - tp, (rows.sizes - cs) - tm
+            lp.x - noisy_p.values, (1.0 - lp.x) - noisy_m.values, cs - tp, (sizes - cs) - tm
         )
         assert lp.training_lambda == pytest.approx(lam, rel=1e-9)
         per_edge = solve_merge_lp(noisy_p, noisy_m, None, make_rng(30), strategy="per-edge")
@@ -380,7 +430,7 @@ def three_product_lambda(sol, wp, wm, s_rows, t_rows):
     x_mat = WeightedChannel(wp.n, x).matrix()
     cs, tp, tm = (rows.sums(m) for m in (x_mat, wp.matrix(), wm.matrix()))
     return _max_violation(
-        x - wp.values, (1.0 - x) - wm.values, cs - tp, (rows.sizes - cs) - tm
+        x - wp.values, (1.0 - x) - wm.values, cs - tp, (cut_sizes(s_rows, t_rows) - cs) - tm
     )[0]
 
 
