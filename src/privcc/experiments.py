@@ -10,9 +10,10 @@ A pipeline run has three strictly separated stages:
   ``nonprivate_eval: true`` to make that explicit.
 
 Records are emitted twice: a CSV row with the plot-ready, deterministic
-fields (identical bytes for identical seeds), and a JSONL record that
-additionally carries wall times (total and per stage), the coarsening
-report, and the release's whole audit under ``release``
+fields (identical bytes for identical seeds; :mod:`csv` quotes the
+instance labels and solver ids, which hold commas), and a JSONL record
+that additionally carries wall times (total and per stage), the
+coarsening report, and the release's whole audit under ``release``
 (:meth:`ReleaseOutput.audit_dict`, None on the exponential route).  The
 split is declared once, on the fields of :class:`ExperimentRecord`: a
 field marked ``jsonl_only`` in its metadata stays out of the CSV, and
@@ -22,6 +23,7 @@ both ``CSV_HEADER`` and ``csv_row`` are derived from the rest.
 from __future__ import annotations
 
 import contextlib
+import io
 import itertools
 import json
 import logging
@@ -197,6 +199,8 @@ class PipelineConfig:
         return self.mechanism + ("+zero-noise" if self.zero_noise else "")
 
     def solver_id(self) -> str:
+        if self.mechanism == "exponential":  # it samples a clustering; no solver runs
+            return "none"
         cfg = self.solver
         k = f",k<={cfg.max_clusters}" if cfg.max_clusters else ""
         return f"min-disagreement(restarts={cfg.restarts}{k})"
@@ -232,6 +236,9 @@ class ExperimentRecord:
     evaluate_stage_ms: float | None = field(default=None, metadata=_JSONL_ONLY)
 
     def csv_row(self) -> str:
+        """The CSV fields as one line without its newline, quoted only where a field needs it."""
+        import csv  # here, so that importing privcc does not import it
+
         def fmt(x):
             if x is None:
                 return ""
@@ -239,7 +246,9 @@ class ExperimentRecord:
                 return repr(x)
             return str(x)
 
-        return ",".join(fmt(getattr(self, name)) for name in _CSV_FIELDS)
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\n").writerow(fmt(getattr(self, f)) for f in _CSV_FIELDS)
+        return line.getvalue()[:-1]
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -381,14 +390,6 @@ def _pipeline_from_dict(d: dict) -> PipelineConfig:
     return _from_dict(PipelineConfig, keys, "pipeline")
 
 
-def _drop_torn_line(path: str) -> None:
-    """Cut off a last line without its newline: a row whose write was interrupted."""
-    with open(path, "rb+") as fh:
-        data = fh.read()
-        if data and not data.endswith(b"\n"):
-            fh.truncate(data.rfind(b"\n") + 1)
-
-
 def _cell_of(line: str) -> int | None:
     """The cell id of a CSV row; None for the header or a blank line."""
     if not line.strip() or line.startswith("cell,"):
@@ -399,13 +400,17 @@ def _cell_of(line: str) -> int | None:
 def _done_cells(csv_path: str, jsonl_path: str | None) -> set[int]:
     """Cells recorded in the CSV and, when a JSONL is kept, in the JSONL too.
 
-    Torn last lines are dropped first.  A CSV row is written before its
-    JSONL row, so a run stopped between the two leaves a last CSV row with
-    no JSONL record; it is cut off too, and its cell runs again.
+    Torn last lines, cut off before their newline, are dropped first.  A
+    CSV row is written before its JSONL row, so a run stopped between the
+    two leaves a last CSV row with no JSONL record; it is cut off too, and
+    its cell runs again.
     """
     for path in (csv_path, jsonl_path):
         if path and os.path.exists(path):
-            _drop_torn_line(path)
+            with open(path, "rb+") as fh:
+                data = fh.read()
+                if data and not data.endswith(b"\n"):
+                    fh.truncate(data.rfind(b"\n") + 1)
     with open(csv_path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
     done = {c for c in map(_cell_of, lines) if c is not None}

@@ -30,23 +30,23 @@ iterate by training violation is kept.  The reported residual ``lambda``
 is audited on a freshly sampled constraint family, never the training
 one (see the audit below).
 
-The training cut sums are kept between iterations.  A cut step moves x
-by the same amount on every pair meeting the cut, so when the clamp
-moves no pair each cut sum changes by that amount times the pairs its
-cut shares with the stepped one (:func:`_shared_pairs`, three thin
+The loop keeps its own state, and nothing outside it reads any of it:
+the training family, drawn row by row by :func:`_sample_set_pairs` (a
+packed draw changed the benchmark's planted n=200 runs from -21% to +53%
+in full cut-sum recomputes per cell across four seeds), its cut sizes,
+the cut sums of x, and one memo for the last stepped row.  A cut step
+moves x by the same amount on every pair meeting the cut, so when the
+clamp moves no pair each cut sum changes by that amount times the pairs
+its cut shares with the stepped one (:func:`_shared_pairs`, three thin
 products instead of one with an n-by-n matrix).  The sums are
 recomputed in full after a step the clamp cut short, after a pair step,
-and every ``_RESYNC`` iterations, which bounds float drift.
-
-The loop keeps its own state: the cut sizes of its rows, and one memo
-for the last stepped row, the indices of the pairs meeting its cut and,
-from its first unclipped step, its shared-pair counts.  Both depend on
-the row alone, and on noisy instances the loop steps one row most of
+and every ``_RESYNC`` iterations, which bounds float drift.  The memo
+holds the row's pair indices and, from its first unclipped step, its
+shared-pair counts: on noisy instances the loop steps one row most of
 the time (one complement cut took 154-290 of 300 steps in the
 benchmark's planted n=200 cells), so a repeated step costs one clip and
-one axpy instead of a pass over every pair and three products.  The
-indices address x in the order the boolean mask did, so x is the same
-bit for bit.
+one axpy.  The indices address x in the order the boolean mask did, so
+x is the same bit for bit.
 
 The audit family comes from a stream of its own,
 ``Generator(rng.bit_generator.jumped())``, which leaves ``rng`` where it
@@ -64,13 +64,6 @@ so lambda is the float64 kernel's value bit for bit; on planted
 instances of n = 200 to 1200 that is one or two blocks per pass.
 :func:`~privcc.release_weighted.sampled_cut_distance` reads its channel
 difference through the same estimator.
-
-The training family keeps its row-by-row draw
-(:func:`_sample_set_pairs`), here with the loop, whose trajectory
-follows that stream: a packed training family changed the benchmark's
-planted n=200 runs from -21% to +53% in full cut-sum recomputes per cell
-across four seeds, which would make their time depend on the seed's
-luck.  Both samplers stay until the training loop itself goes.
 """
 
 from __future__ import annotations
@@ -272,9 +265,8 @@ def solve_merge_lp(
 
     if strategy == "sampled-lp":
         rows = CutRows(*_sample_set_pairs(n, constraint_budget, rng))
-        # the pairs each cut counts, exact integers in float64
-        sizes = rows.s.sum(axis=1) * rows.t.sum(axis=1)
         rsz = rows.r.sum(axis=1)
+        sizes = rows.s.sum(axis=1) * rows.t.sum(axis=1)  # pairs each cut counts, exactly
         sizes[rows.meet] -= 0.5 * rsz * (rsz + 1.0)
         tp, tm = rows.sums(pair_matrix(wp)), rows.sums(pair_matrix(wm))
         cs = rows.sums(pair_matrix(x))

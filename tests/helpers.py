@@ -51,7 +51,7 @@ def channel_matrix(graph, sign):
 
 
 def cut_sizes(s_rows, t_rows):
-    """Pairs meeting each (S, T) row's cut, one end in S and the other in T, counted by brute force."""
+    """Pairs with one end in S and the other in T, per (S, T) row, counted by brute force."""
     pu, pv = np.triu_indices(s_rows.shape[1], 1)
     return ((s_rows[:, pu] & t_rows[:, pv]) | (s_rows[:, pv] & t_rows[:, pu])).sum(axis=1)
 

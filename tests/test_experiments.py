@@ -1,3 +1,4 @@
+import csv
 import json
 import logging
 import math
@@ -170,6 +171,14 @@ class TestPipeline:
         assert rec.mechanism == "exponential"
         assert rec.err + rec.agr == g.total_weight
 
+    @pytest.mark.parametrize("mechanism, solver", [
+        ("unweighted-laplace", "min-disagreement(restarts=8)"),
+        ("weighted-laplace", "min-disagreement(restarts=8)"),
+        ("exponential", "none"),  # it samples a clustering; no solver and no coarsening run
+    ])
+    def test_record_names_only_a_solver_that_ran(self, mechanism, solver):
+        assert PipelineConfig(mechanism=mechanism).solver_id() == solver
+
     @pytest.mark.parametrize("mechanism, kind", [
         ("unweighted-laplace", "planted"),
         ("weighted-laplace", "weighted-random"),
@@ -315,6 +324,22 @@ class TestMatrix:
             "planted_cost,err_on_released,eta_hat,lambda_residual"
         )
         assert len(lines) == 13
+
+    def test_rows_parse_as_csv(self, tmp_path):
+        # instance labels and a capped solver's id hold commas
+        matrix = dict(self.MATRIX, epsilons=[1.0], seeds=[0], pipelines=[
+            {"merge": {"strategy": "per-edge"}, "solver": {"max_clusters": 3}},
+        ])
+        path = tmp_path / "q.csv"
+        run_matrix(matrix, str(path), None)
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == CSV_HEADER.split(",")
+        assert [len(row) for row in rows] == [len(header)] * 2
+        labels = [InstanceSpec(**spec).label() for spec in matrix["instances"]]
+        assert [row[header.index("instance")] for row in rows] == labels
+        solvers = {row[header.index("solver")] for row in rows}
+        assert solvers == {"min-disagreement(restarts=8,k<=3)"}
 
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -207,7 +207,9 @@ class TestMerge:
     @staticmethod
     def cut_step_paths(steps):
         """Counts of incremental and of clipped cut steps, off the resync schedule."""
-        off = [full for t, (kind, _, full) in enumerate(steps, 1) if kind[:3] == "cut" and t % _RESYNC]
+        off = [
+            full for t, (kind, _, full) in enumerate(steps, 1) if kind.startswith("cut") and t % _RESYNC
+        ]
         return off.count(False), off.count(True)
 
     @staticmethod
