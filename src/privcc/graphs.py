@@ -11,7 +11,9 @@ exactly when every pair carries positive weight.
 Complete graphs of one vertex count share one pair index: the read-only
 ``numpy.triu_indices(n, 1)`` arrays from :func:`canonical_pairs`.  The
 registry holds them weakly, so they live exactly as long as some graph
-or caller holds them.
+or caller holds them.  :func:`upper_mask` is the same index as a boolean
+n-by-n mask, held the same way, through which :func:`fill_pairs` writes
+a per-pair vector onto a dense matrix.
 
 All types are immutable after construction (backing arrays are marked
 read-only) and every operation in this module is a pure function, so
@@ -39,6 +41,8 @@ __all__ = [
     "SizeRefusal",
     "SignedGraph",
     "canonical_pairs",
+    "upper_mask",
+    "fill_pairs",
     "Clustering",
     "WeightedChannel",
     "PrivacyParams",
@@ -91,6 +95,36 @@ def canonical_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
         pairs = tuple(_readonly(a.astype(np.int64, copy=False)) for a in np.triu_indices(n, 1))
         _PAIRS[n, 0], _PAIRS[n, 1] = pairs
     return pairs
+
+
+# n -> the upper-triangle mask of n vertices
+_UPPER: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
+
+
+def upper_mask(n: int) -> np.ndarray:
+    """Read-only boolean n-by-n mask of the pairs u < v, one shared per n.
+
+    Its row-major order is canonical pair order.  Like
+    :func:`canonical_pairs`, the registry holds it weakly.
+    """
+    n = int(n)
+    mask = _UPPER.get(n)
+    if mask is None:
+        mask = _UPPER[n] = _readonly(np.less.outer(np.arange(n), np.arange(n)))
+    return mask
+
+
+def fill_pairs(matrix: np.ndarray, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Write per-pair ``values`` (canonical order) onto both triangles of ``matrix``.
+
+    ``mask`` is :func:`upper_mask` of the matrix's n.  Two boolean writes
+    in row-major order, one through the transpose, take about a third of
+    the time of two fancy-index scatters at n = 400.  The diagonal is
+    left as it was.
+    """
+    matrix[mask] = values
+    matrix.T[mask] = values
+    return matrix
 
 
 def _symmetric(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -544,15 +578,28 @@ class CutRows:
         self.meet = np.flatnonzero(overlap.any(axis=1))
         self.r = overlap[self.meet].astype(dtype)
 
-    def sums(self, matrix: np.ndarray) -> np.ndarray:
-        """Cut sums ``s' M t - (r' M r) / 2`` of a symmetric M, each pair once."""
+    def sums(self, matrix: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Cut sums ``s' M t - (r' M r) / 2`` of a symmetric M, each pair once.
+
+        ``rows``, an array of row indices, sums only those rows, in its
+        order; without it every row is summed.  A subset's products have
+        fewer rows, so BLAS may round them apart from the whole family's
+        in the last bits.
+        """
+        s, t, meet, r = self.s, self.t, self.meet, self.r
+        if rows is not None:
+            s, t = s[rows], t[rows]
+            # where each asked row sits among the overlapping rows, if it is one
+            at = np.searchsorted(meet, rows).clip(max=max(meet.size - 1, 0))
+            meet = np.flatnonzero(meet[at] == rows) if meet.size else meet
+            r = r[at[meet]]
         # each product is masked in its own memory, not into a second array
-        product = self.s @ matrix
-        product *= self.t
+        product = s @ matrix
+        product *= t
         cs = product.sum(axis=1)
-        product = self.r @ matrix
-        product *= self.r
-        cs[self.meet] -= 0.5 * product.sum(axis=1)
+        product = r @ matrix
+        product *= r
+        cs[meet] -= 0.5 * product.sum(axis=1)
         return cs
 
 
@@ -636,10 +683,9 @@ class CutFamily:
         sums alone.
         """
         pairs = _largest_abs(residual)
-        est, bound = self._rough_sums(residual, matrix, pairs)
-        iu, iv = canonical_pairs(self.n)
-        matrix[iu, iv] = residual
-        matrix[iv, iu] = residual
+        upper = upper_mask(self.n)
+        est, bound = self._rough_sums(residual, matrix, pairs, upper)
+        fill_pairs(matrix, residual, upper)
         np.fill_diagonal(matrix, 0.0)
         k = est.size - min(max(top, 1), est.size)  # the top-th largest lower bound sits at k
         cand = np.flatnonzero(est + bound >= np.partition(est - bound, k)[k])
@@ -651,7 +697,7 @@ class CutFamily:
         return max(pairs, float(abs(exact[order[0]]))), cand[order[:top]]
 
     def _rough_sums(
-        self, residual: np.ndarray, matrix: np.ndarray, peak: float
+        self, residual: np.ndarray, matrix: np.ndarray, peak: float, upper: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """|float32 cut sums| of the residual matrix times 2^e, and a bound on each one's error.
 
@@ -678,15 +724,15 @@ class CutFamily:
         The pass runs in ``matrix``'s own bytes, a C-ordered float64
         buffer that :meth:`deviation` fills only afterwards: the scaled
         float32 matrix takes their first half and the scaled residual the
-        second, so no second matrix is allocated.
+        second, so no second matrix is allocated.  ``upper`` is
+        :func:`upper_mask` of n, through which the scaled residual is written.
         """
         n = self.n
-        iu, iv = canonical_pairs(n)
         scale = math.ldexp(1.0, min(-math.frexp(peak)[1], 1023))  # 2^1024 is past float64
         room = matrix.view(np.float32).reshape(-1)
         scaled, flat = room[: n * n].reshape(n, n), room[n * n : n * n + residual.size]
         np.multiply(residual, scale, out=flat, casting="same_kind")
-        scaled[iu, iv] = scaled[iv, iu] = flat
+        fill_pairs(scaled, flat, upper)
         np.fill_diagonal(scaled, 0.0)
         # ones beside rho, the row sums of |scaled| (a block of rows at a time:
         # no n-by-n temporary), so one product gives a row's count and mass

@@ -34,19 +34,28 @@ The loop keeps its own state, and nothing outside it reads any of it:
 the training family, drawn row by row by :func:`_sample_set_pairs` (a
 packed draw changed the benchmark's planted n=200 runs from -21% to +53%
 in full cut-sum recomputes per cell across four seeds), its cut sizes,
-the cut sums of x, and one memo for the last stepped row.  A cut step
-moves x by the same amount on every pair meeting the cut, so when the
-clamp moves no pair each cut sum changes by that amount times the pairs
+the cut sums of x with a bound on each, and one memo for the last
+stepped row.  A cut step moves x by the same amount on every pair
+meeting the cut, so each cut sum changes by that amount times the pairs
 its cut shares with the stepped one (:func:`_shared_pairs`, three thin
-products instead of one with an n-by-n matrix).  The sums are
-recomputed in full after a step the clamp cut short, after a pair step,
-and every ``_RESYNC`` iterations, which bounds float drift.  The memo
-holds the row's pair indices and, from its first unclipped step, its
-shared-pair counts: on noisy instances the loop steps one row most of
-the time (one complement cut took 154-290 of 300 steps in the
-benchmark's planted n=200 cells), so a repeated step costs one clip and
-one axpy.  The indices address x in the order the boolean mask did, so
-x is the same bit for bit.
+products instead of one with an n-by-n matrix).  The loop applies that
+update after every cut step.  When the clamp cuts the step short, a
+clipped pair moved less than the step, the same way, so each row's true
+sum lies within |step| times its shared pairs of the update, on the
+side the step's sign gives (:func:`_loosen`).  Before the next pick the
+rows whose bounded residual could still reach the largest lower bound
+over all rows are summed again (:func:`_open_rows`; all rows in one
+product when more than a quarter are), so the stepped row and lambda
+come from exact sums.  The sums are recomputed in full after a pair step
+and every ``_RESYNC`` iterations, which bounds float drift.  The pair
+residuals are formed only when a pair could win: one is never larger
+than ``max(|W|, |1 - W|)`` (:func:`_pair_cap`).  The memo holds the
+row's pair indices and shared-pair counts: on noisy instances the loop
+steps one row most of the time (one complement cut took 154-290 of 300
+steps in the benchmark's planted n=200 cells), so a repeated step costs
+one clip and one axpy.  The indices address x in the order the boolean
+mask did, so x is the same bit for bit when every pick is; a subset's
+sums can differ from the whole family's in the last bits.
 
 The audit family comes from a stream of its own,
 ``Generator(rng.bit_generator.jumped())``, which leaves ``rng`` where it
@@ -81,7 +90,9 @@ from .graphs import (
     SignedGraph,
     WeightedChannel,
     canonical_pairs,
+    fill_pairs,
     laplace_scale,
+    upper_mask,
 )
 
 __all__ = [
@@ -195,6 +206,46 @@ def _shared_pairs(rows: CutRows, i: int) -> np.ndarray:
     return count
 
 
+def _pair_cap(wp: np.ndarray, wm: np.ndarray) -> float:
+    """A bound on every pair residual ``x - W+`` and ``(1 - x) - W-`` for x in the box.
+
+    ``x`` and ``1 - x`` stay in [0, 1], so ``|x - W| <= max(|W|, |1 - W|)``;
+    the relative margin covers the residuals' one or two roundings.
+    """
+    cap = max(np.abs(w).max(initial=0.0) for w in (wp, wm, 1.0 - wp, 1.0 - wm))
+    return cap * (1.0 + 1e-9)
+
+
+def _loosen(above: np.ndarray, below: np.ndarray, shift: float, shared: np.ndarray) -> None:
+    """Widen the cut sums' bounds after a cut step by ``shift`` that the clamp cut short.
+
+    The loop applied the unclipped update ``cs -= shift * shared``.  A
+    clipped pair moved less than ``shift``, the same way, so row j's true
+    sum lies within ``|shift| * shared_j`` of the update, above it for a
+    step down (``shift > 0``) and below it for a step up.
+    """
+    if shift > 0:
+        above += shift * shared
+    else:
+        below -= shift * shared
+
+
+def _open_rows(cs, above, below, tp, tm, sizes) -> np.ndarray:
+    """The rows whose cut residual could still be the largest, given cs's bounds.
+
+    Row j's true cut sum lies in ``[cs_j - below_j, cs_j + above_j]``, so
+    each of its two cut residuals lies in an interval, and so does its
+    absolute value.  A row whose intervals all end below the largest lower
+    bound over every row cannot hold the largest violation, ties included.
+    Returns the rows with nonzero bounds that can.
+    """
+    plus_lo, plus_hi = cs - below - tp, cs + above - tp
+    minus_lo, minus_hi = (sizes - cs) - above - tm, (sizes - cs) + below - tm
+    reach = np.maximum(np.maximum(plus_hi, -plus_lo), np.maximum(minus_hi, -minus_lo))
+    floor = max(np.maximum(plus_lo, -plus_hi).max(), np.maximum(minus_lo, -minus_hi).max())
+    return np.flatnonzero((reach >= floor) & ((above > 0) | (below > 0)))
+
+
 def _max_violation(pair_plus, pair_minus, cut_plus, cut_minus):
     """Largest absolute residual over singleton pairs and cut rows.
 
@@ -202,6 +253,7 @@ def _max_violation(pair_plus, pair_minus, cut_plus, cut_minus):
     canonical pair order, and ``cut(x) - cut(W+)`` and
     ``(size - cut(x)) - cut(W-)`` per cut row.  Returns (lambda, kind,
     index, signed residual); kind is 'pair+', 'pair-', 'cut+' or 'cut-'.
+    An empty residual is skipped; pair kinds win ties.
     """
     cands = (
         ("pair+", pair_plus),
@@ -219,6 +271,9 @@ def _max_violation(pair_plus, pair_minus, cut_plus, cut_minus):
             best = (kind, i, float(res[i]), v)
     kind, idx, signed, lam = best
     return lam, kind, idx, signed
+
+
+_NO_PAIRS = np.empty(0)  # the pair residuals, when no pair can hold the largest violation
 
 
 def solve_merge_lp(
@@ -250,12 +305,11 @@ def solve_merge_lp(
         constraint_budget = 4 * n
     wp, wm = wplus.values, wminus.values
     iu, iv = canonical_pairs(n)
+    upper = upper_mask(n)
     x_mat = np.zeros((n, n))  # the one dense pair matrix, rewritten in place
 
     def pair_matrix(values):
-        x_mat[iu, iv] = values
-        x_mat[iv, iu] = values
-        return x_mat
+        return fill_pairs(x_mat, values, upper)
 
     x = np.clip((wp + 1.0 - wm) / 2.0, 0.0, 1.0)
     iterations_run = 0
@@ -270,15 +324,28 @@ def solve_merge_lp(
         sizes[rows.meet] -= 0.5 * rsz * (rsz + 1.0)
         tp, tm = rows.sums(pair_matrix(wp)), rows.sums(pair_matrix(wm))
         cs = rows.sums(pair_matrix(x))
+        above, below = np.zeros(cs.size), np.zeros(cs.size)  # true sums lie in [cs - below, cs + above]
+        pair_cap = _pair_cap(wp, wm)
         best_lam = np.inf
         best_x = x.copy()
         stale = 0
         stepped, hit, shared = -1, None, None  # the last stepped cut row's step data
         stop = "budget"
         for t in range(1, iterations + 1):
-            lam, kind, idx, signed = _max_violation(
-                x - wp, (1.0 - x) - wm, cs - tp, (sizes - cs) - tm
-            )
+            if above.any() or below.any():  # re-sum what can hold the largest violation
+                tight = _open_rows(cs, above, below, tp, tm, sizes)
+                if tight.size > cs.size / 4:  # then one whole product is cheaper
+                    cs, tight = rows.sums(pair_matrix(x)), slice(None)
+                elif tight.size:
+                    cs[tight] = rows.sums(pair_matrix(x), tight)
+                above[tight] = below[tight] = 0.0
+            cut_plus, cut_minus = cs - tp, (sizes - cs) - tm
+            cut_lam = max(cut_plus.max(), -cut_plus.min(), cut_minus.max(), -cut_minus.min())
+            if cut_lam > pair_cap:  # no pair can win, not even a tie
+                pair_plus = pair_minus = _NO_PAIRS
+            else:
+                pair_plus, pair_minus = x - wp, (1.0 - x) - wm
+            lam, kind, idx, signed = _max_violation(pair_plus, pair_minus, cut_plus, cut_minus)
             if not np.isfinite(best_lam) or lam < best_lam - 1e-6 * max(best_lam, 1.0):
                 best_lam = lam
                 best_x = x.copy()
@@ -299,20 +366,22 @@ def solve_merge_lp(
                 if stepped != idx:
                     # the gradient is 1 on pairs meeting the cut and 0 elsewhere
                     s, tt = rows.s[idx] > 0, rows.t[idx] > 0
-                    stepped, shared = idx, None
+                    stepped = idx
                     hit = np.flatnonzero((s[iu] & tt[iv]) | (s[iv] & tt[iu]))
+                    shared = _shared_pairs(rows, idx)
                 delta = signed if kind == "cut+" else -signed
                 shift = step * delta / max(sizes[idx], 1.0)
-                moved = x[hit] - shift
-                kept = np.clip(moved, 0.0, 1.0)
-                x[hit] = kept
-                full = not np.array_equal(kept, moved)  # the clamp moved a pair
-                if not full:
-                    if shared is None:
-                        shared = _shared_pairs(rows, idx)
-                    cs -= shift * shared
+                moved = x[hit]
+                moved -= shift
+                if moved.min(initial=0.0) < 0.0 or moved.max(initial=1.0) > 1.0:  # clipped
+                    np.clip(moved, 0.0, 1.0, out=moved)
+                    _loosen(above, below, shift, shared)
+                x[hit] = moved
+                cs -= shift * shared
+                full = False
             if full or t % _RESYNC == 0:
                 cs = rows.sums(pair_matrix(x))
+                above[:] = below[:] = 0.0
         x = best_x
 
     # honest audit: fresh constraints, never the training family, drawn from

@@ -17,7 +17,7 @@ from privcc import (
     split_signs,
 )
 from privcc._rng import make_rng
-from privcc.graphs import CutRows, canonical_pairs
+from privcc.graphs import CutRows, canonical_pairs, fill_pairs, upper_mask
 from privcc.io import format_edge_list, parse_edge_list
 
 from helpers import channel_from_matrix, channel_matrix, cut_sizes, random_clustering, random_graph
@@ -147,6 +147,42 @@ class TestCuts:
                 ]
                 assert got.shape == (len(want),)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_row_subset_sums_match_whole_family(self):
+        # rows of every kind: overlapping S != T, S == T, disjoint and
+        # complement; subsets in any order, with and without overlapping rows
+        rng = make_rng(111)
+        for trial in range(30):
+            n = int(rng.integers(2, 40))
+            s_rows, t_rows = [], []
+            for _ in range(3):
+                s_rows.append(rng.random(n) < 0.5)
+                t_rows.append(rng.random(n) < 0.5)
+                same = rng.random(n) < 0.5
+                s_rows.append(same)
+                t_rows.append(same.copy())
+                z = rng.integers(0, 3, size=n)
+                s_rows.append(z == 1)
+                t_rows.append(z == 2)
+                s_rows.append(rng.random(n) < 0.5)
+                t_rows.append(~s_rows[-1])
+            rows = CutRows(np.array(s_rows), np.array(t_rows))
+            matrix = channel_matrix(random_graph(rng, n, weighted=True, parallel=True), 1)
+            whole = rows.sums(matrix)
+            count = whole.size
+            kinds = np.arange(count) % 4
+            subsets = [
+                rng.permutation(count)[: int(rng.integers(1, count + 1))],
+                np.arange(count),
+                np.flatnonzero(kinds >= 2),  # disjoint and complement rows only
+                np.flatnonzero(kinds == 1),  # S == T only
+                np.array([count - 1, 0, count - 1]),
+                np.empty(0, dtype=np.int64),
+            ]
+            for subset in subsets:
+                got = rows.sums(matrix, subset)
+                assert got.shape == subset.shape
+                np.testing.assert_allclose(got, whole[subset], rtol=1e-12, atol=1e-12)
 
 
 class TestNeighborDistance:
@@ -349,6 +385,24 @@ class TestSharedPairs:
         del a, b
         gc.collect()
         assert (n, 0) not in _PAIRS and (n, 1) not in _PAIRS
+
+    def test_upper_mask_is_canonical_order_and_held_weakly(self):
+        from privcc.graphs import _UPPER
+
+        n = 43  # used by no other test, so this test holds the only mask of n
+        mask = upper_mask(n)
+        assert upper_mask(n) is mask and not mask.flags.writeable
+        pu, pv = canonical_pairs(n)
+        rows, cols = np.nonzero(mask)
+        assert rows.tolist() == pu.tolist() and cols.tolist() == pv.tolist()
+        values = make_rng(112).random(pu.size)
+        got = fill_pairs(np.full((n, n), 7.0), values, mask)
+        want = WeightedChannel(n, values).matrix()
+        np.fill_diagonal(want, 7.0)  # the diagonal is left as it was
+        assert got.tobytes() == want.tobytes()
+        del mask
+        gc.collect()
+        assert n not in _UPPER
 
     @pytest.mark.parametrize("shared_index", [False, True])
     def test_constructors_copy_a_callers_arrays(self, shared_index):

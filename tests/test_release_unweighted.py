@@ -24,6 +24,7 @@ from privcc.release_unweighted import (
     _PATIENCE,
     _RESYNC,
     MergeConfig,
+    _loosen,
     _max_violation,
     _sample_set_pairs,
     _shared_pairs,
@@ -166,16 +167,21 @@ class TestMerge:
                 assert sol.iterations_run == want_run
 
     @staticmethod
-    def spied_merge(monkeypatch, noisy_p, noisy_m, budget, seed, iterations):
+    def spied_merge(monkeypatch, noisy_p, noisy_m, budget, seed, iterations, paths=None):
         """``solve_merge_lp`` and the reference, with the solver's paths logged.
 
         Returns one ``[kind, row, recomputed]`` entry per step taken
-        (``recomputed``: the cut sums were summed in full after the step),
+        (``recomputed``: every cut sum was summed again after the step),
         the ``(step, row)`` of every ``_shared_pairs`` call, and the
-        solution, after checking it against ``dense_gradient_merge``.
+        solution, after checking it against ``dense_gradient_merge``.  A
+        ``paths`` dict also gets the steps the clamp cut short
+        (``"clipped"``) and the ``(step, rows)`` of each re-sum of a row
+        subset after a step (``"partial"``).
         """
         steps, asked = [], []
-        pick, shared = release_unweighted_module._max_violation, _shared_pairs
+        paths = {} if paths is None else paths
+        paths["clipped"], paths["partial"] = [], []
+        pick, shared, loosen = release_unweighted_module._max_violation, _shared_pairs, _loosen
 
         def spy_pick(*args):
             out = pick(*args)
@@ -186,14 +192,21 @@ class TestMerge:
             asked.append((len(steps), i))
             return shared(rows, i)
 
+        def spy_loosen(*args):
+            paths["clipped"].append(len(steps))
+            return loosen(*args)
+
         class SpiedRows(CutRows):
-            def sums(self, matrix):
-                if steps:  # the sums taken before the first step are no recompute
+            def sums(self, matrix, rows=None):
+                if steps and rows is None:  # the sums taken before the first step are no recompute
                     steps[-1][2] = True
-                return super().sums(matrix)
+                elif steps:
+                    paths["partial"].append((len(steps), len(rows)))
+                return super().sums(matrix, rows)
 
         monkeypatch.setattr(release_unweighted_module, "_max_violation", spy_pick)
         monkeypatch.setattr(release_unweighted_module, "_shared_pairs", spy_shared)
+        monkeypatch.setattr(release_unweighted_module, "_loosen", spy_loosen)
         monkeypatch.setattr(release_unweighted_module, "CutRows", SpiedRows)
         sol = solve_merge_lp(noisy_p, noisy_m, budget, make_rng(seed), iterations=iterations)
         monkeypatch.undo()
@@ -218,11 +231,30 @@ class TestMerge:
         wp, wm = indicator_channels(random_graph(rng, n, complete=True))
         return laplace_release(wp, 2.0, rng), laplace_release(wm, 2.0, rng)
 
+    @staticmethod
+    def planted_channels(n):
+        graph, _ = generate_instance(
+            InstanceSpec(kind="planted", n=n, clusters=4, flip_prob=0.05, seed=1)
+        )
+        rng = make_rng(1)
+        return tuple(laplace_release(ch, 2.0, rng) for ch in indicator_channels(graph))
+
     def test_clipped_cut_steps_match_reference(self, monkeypatch):
-        # noisy per-edge starts sit on the box bounds, so cut steps clip
-        steps, _, _ = self.spied_merge(monkeypatch, *self.noisy_channels(62, 30), None, 30, 120)
-        incremental, clipped = self.cut_step_paths(steps)
-        assert incremental > 0 and clipped > 0  # both the incremental and full path ran
+        # noisy per-edge starts sit on the box bounds, so cut steps clip; a
+        # clipped step keeps the unclipped update, and the next step re-sums
+        # only the rows that can still hold the largest violation
+        paths = {}
+        steps, _, _ = self.spied_merge(
+            monkeypatch, *self.noisy_channels(62, 30), None, 30, 120, paths=paths
+        )
+        cut_steps = {t for t, (kind, _, _) in enumerate(steps, 1) if kind.startswith("cut")}
+        clipped = {t for t in paths["clipped"] if t % _RESYNC}
+        assert clipped and cut_steps - clipped  # both the clipped and the unclipped path ran
+        assert clipped <= cut_steps
+        # most clipped steps are followed by no full re-sum, a few re-sums of a subset
+        assert sum(not steps[t - 1][2] for t in clipped) > len(clipped) // 2
+        partial = paths["partial"]
+        assert partial and all(0 < k <= 8 * 30 // 4 for _, k in partial)
 
     def test_pair_steps_match_reference(self, monkeypatch):
         pair_steps = 0
@@ -244,11 +276,7 @@ class TestMerge:
         # on a noisy planted instance the loop steps one complement cut over
         # and over, reusing that row's pair indices and shared-pair counts
         n = 48
-        graph, _ = generate_instance(
-            InstanceSpec(kind="planted", n=n, clusters=4, flip_prob=0.05, seed=1)
-        )
-        rng = make_rng(1)
-        noisy_p, noisy_m = (laplace_release(ch, 2.0, rng) for ch in indicator_channels(graph))
+        noisy_p, noisy_m = self.planted_channels(n)
         steps, asked, _ = self.spied_merge(monkeypatch, noisy_p, noisy_m, None, 1, 300)
         cut_rows = [row for kind, row, _ in steps if kind.startswith("cut")]
         row, count = Counter(cut_rows).most_common(1)[0]
@@ -260,18 +288,78 @@ class TestMerge:
         assert 0 < sum(r == row for _, r in asked) <= runs < incremental // 10
 
     def test_shared_pairs_follow_the_row_asked(self, monkeypatch):
-        # the loop asks for counts on the row it steps, once per run of steps
-        # on that row, and asks again after another row was stepped; stale
-        # counts from the previous row would move x off the reference
-        steps, asked, _ = self.spied_merge(monkeypatch, *self.noisy_channels(64, 30), None, 30, 400)
+        # the loop asks for counts on the row it steps, once per run of cut
+        # steps on that row, clipped or not, and asks again after another row
+        # was stepped; stale counts from the previous row would move x off
+        # the reference
+        paths = {}
+        steps, asked, _ = self.spied_merge(
+            monkeypatch, *self.noisy_channels(64, 30), None, 30, 400, paths=paths
+        )
         assert len({row for _, row in asked}) > 1
-        for (t, row), (t_next, row_next) in zip(asked, asked[1:] + [(len(steps) + 1, None)]):
-            kind, stepped, full = steps[t - 1]
-            assert kind.startswith("cut") and stepped == row
-            assert not full or t % _RESYNC == 0  # an unclipped step
-            # no second call for the row until another row was stepped
-            between = {r for kind, r, _ in steps[t : t_next - 1] if kind.startswith("cut")}
-            assert row_next != row or between - {row}
+        cut_steps = [(t, row) for t, (kind, row, _) in enumerate(steps, 1) if kind.startswith("cut")]
+        runs = [(t, row) for i, (t, row) in enumerate(cut_steps) if i == 0 or cut_steps[i - 1][1] != row]
+        assert asked == runs
+        # a clipped step's update needs the counts too
+        assert {t for t, _ in asked} & set(paths["clipped"])
+
+    @pytest.mark.parametrize("instance", ["noisy n=30", "planted n=48"])
+    def test_rows_left_unsummed_stay_inside_their_bounds(self, monkeypatch, instance):
+        # every row is summed again before every pick: the row stepped holds
+        # the largest true violation, and a row the loop did not re-sum has
+        # its true sum inside the bounds the clipped steps left on it
+        if instance == "noisy n=30":
+            (noisy_p, noisy_m), seed, iterations = self.noisy_channels(62, 30), 30, 120
+        else:
+            (noisy_p, noisy_m), seed, iterations = self.planted_channels(48), 1, 300
+        n = noisy_p.n
+        wp, wm = noisy_p.values, noisy_m.values
+        s_rows, t_rows = _sample_set_pairs(n, 4 * n, make_rng(seed))
+        family, sizes = CutRows(s_rows, t_rows), cut_sizes(s_rows, t_rows)
+        tp, tm = family.sums(noisy_p.matrix()), family.sums(noisy_m.matrix())
+        pick, open_rows = release_unweighted_module._max_violation, release_unweighted_module._open_rows
+        opened, seen = [], Counter()
+
+        def spy_open(cs, above, below, *rest):
+            out = open_rows(cs, above, below, *rest)
+            opened.append((above.copy(), below.copy(), out))
+            return out
+
+        def spy_pick(pair_plus, pair_minus, cut_plus, cut_minus):
+            out = pick(pair_plus, pair_minus, cut_plus, cut_minus)
+            x = pair_plus + wp  # the cap below makes the loop pass its pair residuals
+            true = family.sums(WeightedChannel(n, x).matrix())
+            residuals = {
+                "pair+": x - wp,
+                "pair-": (1.0 - x) - wm,
+                "cut+": true - tp,
+                "cut-": (sizes - true) - tm,
+            }
+            top = max(np.abs(r).max() for r in residuals.values())
+            _, kind, idx, _ = out
+            assert abs(residuals[kind][idx]) >= top * (1.0 - 1e-9)
+            above = below = np.zeros(true.size)
+            if opened:  # the bounds left after this step's re-sum
+                above, below, tight = opened.pop()
+                if tight.size > true.size / 4:
+                    above[:] = below[:] = 0.0
+                above[tight] = below[tight] = 0.0
+                seen["loose"] += int(((above > 0) | (below > 0)).sum())
+            cs, tol = cut_plus + tp, 1e-9 * max(np.abs(true).max(), 1.0)
+            assert np.all(true >= cs - below - tol) and np.all(true <= cs + above + tol)
+            seen["picks"] += 1
+            return out
+
+        want = solve_merge_lp(noisy_p, noisy_m, None, make_rng(seed), iterations=iterations)
+        monkeypatch.setattr(release_unweighted_module, "_open_rows", spy_open)
+        monkeypatch.setattr(release_unweighted_module, "_max_violation", spy_pick)
+        monkeypatch.setattr(release_unweighted_module, "_pair_cap", lambda wp, wm: np.inf)
+        got = solve_merge_lp(noisy_p, noisy_m, None, make_rng(seed), iterations=iterations)
+        monkeypatch.undo()
+        assert seen["picks"] >= got.iterations_run and seen["loose"] > 0
+        # skipping the pair residuals when no pair can win changes nothing
+        assert got.x.tobytes() == want.x.tobytes()
+        assert (got.lam, got.iterations_run) == (want.lam, want.iterations_run)
 
     def test_shared_pairs_equal_cut_sums_of_pair_mask(self):
         # rows of every kind: overlapping S != T, S == T, disjoint and
@@ -348,6 +436,14 @@ class TestMerge:
         for strategy in ("sampled-lp", "per-edge"):
             with pytest.raises(ContractViolation):
                 solve_merge_lp(ch, ch, budget, make_rng(57), strategy=strategy)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tiny_instances_run_to_budget(self, n):
+        # at n = 1 every cut row is empty, so the loop steps a cut of no pairs
+        zero = WeightedChannel(n, np.zeros(n * (n - 1) // 2))
+        sol = solve_merge_lp(zero, zero, None, make_rng(1), iterations=5)
+        assert (sol.iterations_run, sol.stop) == (5, "budget")
+        assert np.all(sol.x == 0.5)
 
     def test_noiseless_channels_zero_residual(self):
         rng = make_rng(58)
