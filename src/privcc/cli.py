@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: generate, release, cluster, pipeline, matrix, verify-dp,
-lowerbound, audit-cuts.  Exit codes: 0 ok, 1 check failed, 2 contract
-violation, 3 refusal (size limits).
+lowerbound, audit-cuts.  Exit codes: 0 ok, 1 check failed, 2 bad input
+(a contract violation, a path that cannot be read or written, or a
+matrix config that is not JSON), 3 refusal (size limits).  Every
+failure other than a failed check is reported on one stderr line.
 """
 
 from __future__ import annotations
@@ -166,7 +168,10 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_matrix(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
-        matrix = json.load(fh)
+        try:
+            matrix = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ContractViolation(f"matrix config {args.config} is not JSON: {exc}") from exc
     records = run_matrix(matrix, args.output, jsonl_path=args.jsonl,
                          resume=not args.no_resume)
     print(f"wrote {len(records)} records to {args.output}", file=sys.stderr)
@@ -343,6 +348,9 @@ def main(argv: list[str] | None = None) -> int:
     except SizeRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -375,11 +375,15 @@ def run_pipeline(
 # Matrix runner
 
 
-def _from_dict(cls, d: dict, where: str):
-    """``cls(**d)``, refusing keys that are not fields of ``cls``."""
-    unknown = set(d) - {f.name for f in fields(cls)}
+def _refuse_unknown(d: dict, allowed: set, where: str) -> None:
+    unknown = set(d) - allowed
     if unknown:
         raise ContractViolation(f"unknown {where} keys: {', '.join(sorted(unknown))}")
+
+
+def _from_dict(cls, d: dict, where: str):
+    """``cls(**d)``, refusing keys that are not fields of ``cls``."""
+    _refuse_unknown(d, {f.name for f in fields(cls)}, where)
     return cls(**d)
 
 
@@ -429,6 +433,9 @@ def _done_cells(csv_path: str, jsonl_path: str | None) -> set[int]:
     return done & logged
 
 
+_MATRIX_KEYS = {"instances", "epsilons", "pipelines", "seeds", "delta", "master_seed"}
+
+
 def run_matrix(
     matrix: dict,
     csv_path: str,
@@ -436,6 +443,10 @@ def run_matrix(
     resume: bool = True,
 ) -> list[ExperimentRecord]:
     """Cartesian product of instances, epsilons, pipelines and seed replicates.
+
+    ``matrix`` needs ``instances``, ``epsilons`` and ``pipelines``, and may
+    give ``seeds`` (default ``[0]``), ``delta`` and ``master_seed``; a
+    missing or an unknown key is a :class:`ContractViolation`.
 
     Cells are enumerated in deterministic order and written as they
     finish through a single writer.  With ``resume``, cells whose ids
@@ -452,6 +463,12 @@ def run_matrix(
     ``<jsonl>.failures.jsonl``, which starts empty with the JSONL and is
     appended to on resume.
     """
+    if not isinstance(matrix, dict):
+        raise ContractViolation(f"a matrix config is an object of keys, not {type(matrix).__name__}")
+    _refuse_unknown(matrix, _MATRIX_KEYS, "matrix")
+    missing = {"instances", "epsilons", "pipelines"} - set(matrix)
+    if missing:
+        raise ContractViolation(f"missing matrix keys: {', '.join(sorted(missing))}")
     master_seed = int(matrix.get("master_seed", 0))
     specs = [_from_dict(InstanceSpec, s, "instance") for s in matrix["instances"]]
     epsilons = [float(e) for e in matrix["epsilons"]]

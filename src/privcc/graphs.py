@@ -578,28 +578,15 @@ class CutRows:
         self.meet = np.flatnonzero(overlap.any(axis=1))
         self.r = overlap[self.meet].astype(dtype)
 
-    def sums(self, matrix: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        """Cut sums ``s' M t - (r' M r) / 2`` of a symmetric M, each pair once.
-
-        ``rows``, an array of row indices, sums only those rows, in its
-        order; without it every row is summed.  A subset's products have
-        fewer rows, so BLAS may round them apart from the whole family's
-        in the last bits.
-        """
-        s, t, meet, r = self.s, self.t, self.meet, self.r
-        if rows is not None:
-            s, t = s[rows], t[rows]
-            # where each asked row sits among the overlapping rows, if it is one
-            at = np.searchsorted(meet, rows).clip(max=max(meet.size - 1, 0))
-            meet = np.flatnonzero(meet[at] == rows) if meet.size else meet
-            r = r[at[meet]]
+    def sums(self, matrix: np.ndarray) -> np.ndarray:
+        """Cut sums ``s' M t - (r' M r) / 2`` of a symmetric M, each pair once, one per row."""
         # each product is masked in its own memory, not into a second array
-        product = s @ matrix
-        product *= t
+        product = self.s @ matrix
+        product *= self.t
         cs = product.sum(axis=1)
-        product = r @ matrix
-        product *= r
-        cs[meet] -= 0.5 * product.sum(axis=1)
+        product = self.r @ matrix
+        product *= self.r
+        cs[self.meet] -= 0.5 * product.sum(axis=1)
         return cs
 
 
@@ -619,12 +606,16 @@ class CutFamily:
     unpacks ``_AUDIT_BLOCK`` rows per :class:`CutRows`, so a pass takes
     O(block * n) float memory whatever the family's size.
 
-    :meth:`deviation` is the one sampled cut-residual estimator: the
-    merge audit reads ``x - W+`` and ``(1 - x) - W-`` through it, and
-    :func:`~privcc.release_weighted.sampled_cut_distance` reads ``a - b``.
-    It sums every row in float32 and re-sums in float64 only the blocks
-    whose rows can reach the largest |cut|, so what it reports is
-    :meth:`sums`'s float64 value.
+    Every sampled cut family in privcc is one of these, three in all:
+    the sampled-LP merge trains on one drawn from the caller's stream and
+    audits lambda on another from a stream of its own, and
+    :func:`~privcc.release_weighted.sampled_cut_distance` draws a third.
+    Their rows are read through :meth:`masks` alone.  The audit and the
+    cut distance read their residuals, ``x - W+`` and ``(1 - x) - W-`` or
+    ``a - b``, through :meth:`deviation`, the one sampled cut-residual
+    estimator.  It sums every row in float32 and re-sums in float64 only
+    the blocks whose rows can reach the largest |cut|, so what it reports
+    is :meth:`sums`'s float64 value.
     """
 
     __slots__ = ("n", "_s", "_t")
@@ -644,22 +635,17 @@ class CutFamily:
         # one bit per vertex as numpy.packbits lays them out; bits past n are padding
         self.n, self._s, self._t = n, s, t
 
-    def _rows(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """The boolean (S, T) masks of rows ``a`` to ``b``."""
+    def masks(self, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """The boolean (S, T) masks of ``rows``, a slice or an index array, in its order."""
         return tuple(
-            np.unpackbits(bits[a:b], axis=1, count=self.n).view(bool) for bits in (self._s, self._t)
+            np.unpackbits(b[rows], axis=1, count=self.n).view(bool) for b in (self._s, self._t)
         )
-
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """The boolean masks (S, T) of row ``i``."""
-        s, t = self._rows(i, i + 1)
-        return s[0], t[0]
 
     def sums(self, matrix: np.ndarray) -> np.ndarray:
         """Counted-once cut sums of a symmetric matrix over every row."""
         blocks = range(0, self._s.shape[0], _AUDIT_BLOCK)
         # each block's CutRows, and with it its float masks, goes before the next is made
-        sums = [CutRows(*self._rows(a, a + _AUDIT_BLOCK)).sums(matrix) for a in blocks]
+        sums = [CutRows(*self.masks(slice(a, a + _AUDIT_BLOCK))).sums(matrix) for a in blocks]
         return np.concatenate(sums)
 
     def deviation(
@@ -692,7 +678,8 @@ class CutFamily:
         exact = np.empty(cand.size)
         for a in sorted({i - i % _AUDIT_BLOCK for i in cand.tolist()}):
             here = (cand >= a) & (cand < a + _AUDIT_BLOCK)
-            exact[here] = CutRows(*self._rows(a, a + _AUDIT_BLOCK)).sums(matrix)[cand[here] - a]
+            block = CutRows(*self.masks(slice(a, a + _AUDIT_BLOCK)))
+            exact[here] = block.sums(matrix)[cand[here] - a]
         order = np.argsort(-np.abs(exact), kind="stable")
         return max(pairs, float(abs(exact[order[0]]))), cand[order[:top]]
 
@@ -741,7 +728,7 @@ class CutFamily:
             weights[a : a + _AUDIT_BLOCK, 1] = np.abs(scaled[a : a + _AUDIT_BLOCK]).sum(axis=1)
         est, terms, mass = np.empty((3, self._s.shape[0]))
         for a in range(0, est.size, _AUDIT_BLOCK):
-            rows = CutRows(*self._rows(a, a + _AUDIT_BLOCK), dtype=np.float32)
+            rows = CutRows(*self.masks(slice(a, a + _AUDIT_BLOCK)), dtype=np.float32)
             b = a + rows.s.shape[0]
             est[a:b] = np.abs(rows.sums(scaled))
             (s_count, s_mass), (t_count, t_mass) = (rows.s @ weights).T, (rows.t @ weights).T

@@ -31,46 +31,46 @@ is audited on a freshly sampled constraint family, never the training
 one (see the audit below).
 
 The loop keeps its own state, and nothing outside it reads any of it:
-the training family, drawn row by row by :func:`_sample_set_pairs` (a
-packed draw changed the benchmark's planted n=200 runs from -21% to +53%
-in full cut-sum recomputes per cell across four seeds), its cut sizes,
-the cut sums of x with a bound on each, and one memo for the last
-stepped row.  A cut step moves x by the same amount on every pair
-meeting the cut, so each cut sum changes by that amount times the pairs
-its cut shares with the stepped one (:func:`_shared_pairs`, three thin
-products instead of one with an n-by-n matrix).  The loop applies that
-update after every cut step.  When the clamp cuts the step short, a
-clipped pair moved less than the step, the same way, so each row's true
-sum lies within |step| times its shared pairs of the update, on the
-side the step's sign gives (:func:`_loosen`).  Before the next pick the
-rows whose bounded residual could still reach the largest lower bound
-over all rows are summed again (:func:`_open_rows`; all rows in one
-product when more than a quarter are), so the stepped row and lambda
-come from exact sums.  The sums are recomputed in full after a pair step
-and every ``_RESYNC`` iterations, which bounds float drift.  The pair
-residuals are formed only when a pair could win: one is never larger
-than ``max(|W|, |1 - W|)`` (:func:`_pair_cap`).  The memo holds the
-row's pair indices and shared-pair counts: on noisy instances the loop
-steps one row most of the time (one complement cut took 154-290 of 300
-steps in the benchmark's planted n=200 cells), so a repeated step costs
-one clip and one axpy.  The indices address x in the order the boolean
-mask did, so x is the same bit for bit when every pick is; a subset's
-sums can differ from the whole family's in the last bits.
+the training family, a :class:`~privcc.graphs.CutFamily` drawn from
+``rng`` and unpacked once into float masks, its cut sizes, the cut sums
+of x with a bound on each, and one memo for the last stepped row.  A cut
+step moves x by the same amount on every pair meeting the cut, so each
+cut sum changes by that amount times the pairs its cut shares with the
+stepped one (:func:`_shared_pairs`, three thin products instead of one
+with an n-by-n matrix).  The loop applies that update after every cut
+step.  When the clamp cuts the step short, a clipped pair moved less
+than the step, the same way, so each row's true sum lies within |step|
+times its shared pairs of the update, on the side the step's sign gives
+(:func:`_loosen`).  Before the next pick the rows whose bounded residual
+could still reach the largest lower bound over all rows are summed again
+(:func:`_open_rows`; all rows in one product when more than a quarter
+are), so the stepped row and lambda come from exact sums; a subset is
+summed by a :class:`~privcc.graphs.CutRows` of its own rows.  The sums
+are recomputed in full after a pair step and every ``_RESYNC``
+iterations, which bounds float drift.  The pair residuals are formed
+only when a pair could win: one is never larger than
+``max(|W|, |1 - W|)`` (:func:`_pair_cap`).  The memo holds the row's
+pair indices and shared-pair counts: on noisy instances the loop steps
+one row over and over (one cut took 89-147 of 300 steps in each of the
+benchmark's 30 planted n=200 cells of seeds 1-3), so a repeated step
+costs one clip and one axpy.  The indices address x in the order the
+boolean mask did, so x is the same bit for bit when every pick is; a
+subset's sums can differ from the whole family's in the last bits.
 
 The audit family comes from a stream of its own,
 ``Generator(rng.bit_generator.jumped())``, which leaves ``rng`` where it
 was, so the released graph does not depend on the audit's budget or
-sampler.  It is a :class:`~privcc.graphs.CutFamily`: the training
-family's distribution, drawn as packed bits and summed a block of rows
-at a time, so its 8n rows take O(block * n) float memory.  lambda is the
-larger of two :meth:`~privcc.graphs.CutFamily.deviation` readings, of
-``x - W+`` and of ``(1 - x) - W-``, each written onto the merge's one
-n-by-n buffer: the cut sum is linear, so two passes do the work of one
-each for x, W+ and W-.  Each pass sums the family in float32, in that
-buffer's own bytes, with a per-row forward error bound, and re-sums in
-float64 only the blocks holding a row that can reach the largest |cut|,
-so lambda is the float64 kernel's value bit for bit; on planted
-instances of n = 200 to 1200 that is one or two blocks per pass.
+sampler.  It is a second :class:`~privcc.graphs.CutFamily` of the
+training family's budget, summed a block of rows at a time, so its 8n
+rows take O(block * n) float memory.  lambda is the larger of two
+:meth:`~privcc.graphs.CutFamily.deviation` readings, of ``x - W+`` and
+of ``(1 - x) - W-``, each written onto the merge's one n-by-n buffer:
+the cut sum is linear, so two passes do the work of one each for x, W+
+and W-.  Each pass sums the family in float32, in that buffer's own
+bytes, with a per-row forward error bound, and re-sums in float64 only
+the blocks holding a row that can reach the largest |cut|, so lambda is
+the float64 kernel's value bit for bit; on planted instances of n = 200
+to 1200 that is one or two blocks per pass.
 :func:`~privcc.release_weighted.sampled_cut_distance` reads its channel
 difference through the same estimator.
 """
@@ -162,30 +162,6 @@ def laplace_release(
 
 # ---------------------------------------------------------------------------
 # Merge step
-
-
-def _sample_set_pairs(n: int, budget: int, rng: np.random.Generator):
-    """Random (S, T) rows: budget mixed overlapping/disjoint + budget complements.
-
-    A mixed row is, with probability 1/2, independent Bernoulli(1/2) sets
-    S and T, and otherwise classes 0 and 1 of a uniform 3-colouring; a
-    complement row is a Bernoulli(1/2) S and T = V minus S.  Drawn one
-    row at a time: this is the training family, whose stream the merge's
-    trajectory depends on.
-    """
-    s_rows = np.zeros((2 * budget, n), dtype=bool)
-    t_rows = np.zeros((2 * budget, n), dtype=bool)
-    for i in range(budget):
-        if rng.random() < 0.5:
-            s_rows[i] = rng.random(n) < 0.5
-            t_rows[i] = rng.random(n) < 0.5
-        else:
-            z = rng.integers(0, 3, size=n)
-            s_rows[i] = z == 0
-            t_rows[i] = z == 1
-    s_rows[budget:] = rng.random((budget, n)) < 0.5
-    t_rows[budget:] = ~s_rows[budget:]
-    return s_rows, t_rows
 
 
 def _shared_pairs(rows: CutRows, i: int) -> np.ndarray:
@@ -318,7 +294,8 @@ def solve_merge_lp(
     best_lam = None
 
     if strategy == "sampled-lp":
-        rows = CutRows(*_sample_set_pairs(n, constraint_budget, rng))
+        training = CutFamily(n, constraint_budget, rng)
+        rows = CutRows(*training.masks())
         rsz = rows.r.sum(axis=1)
         sizes = rows.s.sum(axis=1) * rows.t.sum(axis=1)  # pairs each cut counts, exactly
         sizes[rows.meet] -= 0.5 * rsz * (rsz + 1.0)
@@ -337,7 +314,7 @@ def solve_merge_lp(
                 if tight.size > cs.size / 4:  # then one whole product is cheaper
                     cs, tight = rows.sums(pair_matrix(x)), slice(None)
                 elif tight.size:
-                    cs[tight] = rows.sums(pair_matrix(x), tight)
+                    cs[tight] = CutRows(*training.masks(tight)).sums(pair_matrix(x))
                 above[tight] = below[tight] = 0.0
             cut_plus, cut_minus = cs - tp, (sizes - cs) - tm
             cut_lam = max(cut_plus.max(), -cut_plus.min(), cut_minus.max(), -cut_minus.min())
@@ -365,7 +342,7 @@ def solve_merge_lp(
             else:
                 if stepped != idx:
                     # the gradient is 1 on pairs meeting the cut and 0 elsewhere
-                    s, tt = rows.s[idx] > 0, rows.t[idx] > 0
+                    (s,), (tt,) = training.masks([idx])
                     stepped = idx
                     hit = np.flatnonzero((s[iu] & tt[iv]) | (s[iv] & tt[iu]))
                     shared = _shared_pairs(rows, idx)

@@ -136,8 +136,8 @@ def sampled_cut_distance(
     family = CutFamily(n, samples, rng)
     diff = np.empty((n, n))
     best, starts = family.deviation(gap, diff, _ASCENT_STARTS)
-    for i in starts:
-        best = max(best, _ascend(diff, *family.row(i)))
+    for s, t in zip(*family.masks(starts)):
+        best = max(best, _ascend(diff, s, t))
     return best
 
 

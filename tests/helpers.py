@@ -86,5 +86,4 @@ def packed_family_reference(n, budget, rng):
 
 def family_rows(family, rows):
     """The boolean (S, T) masks of a ``CutFamily``'s first ``rows`` rows, stacked."""
-    s_rows, t_rows = zip(*(family.row(i) for i in range(rows)))
-    return np.array(s_rows), np.array(t_rows)
+    return family.masks(slice(0, rows))

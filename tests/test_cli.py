@@ -212,7 +212,8 @@ def test_matrix_command(tmp_path):
     ("solver", "max_passes", lambda cfg: cfg["pipelines"][0].setdefault("solver", {})),
     ("merge", "budget", lambda cfg: cfg["pipelines"][0]["merge"]),
     ("pipeline", "zero_noise", lambda cfg: cfg["pipelines"][0]),
-], ids=["instance", "pipeline", "solver", "merge", "zero_noise"])
+    ("matrix", "seed", lambda cfg: cfg),
+], ids=["instance", "pipeline", "solver", "merge", "zero_noise", "matrix"])
 def test_matrix_refuses_unknown_keys(tmp_path, capsys, where, key, target):
     cfg = {
         "instances": [{"kind": "planted", "n": 8, "clusters": 2, "seed": 1}],
@@ -224,6 +225,20 @@ def test_matrix_refuses_unknown_keys(tmp_path, capsys, where, key, target):
     cfg_path.write_text(json.dumps(cfg))
     assert run(["matrix", "--config", cfg_path, "--output", tmp_path / "r.csv"]) == 2
     assert f"unknown {where} keys: {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["instances", "epsilons", "pipelines"])
+def test_matrix_refuses_a_missing_key(tmp_path, capsys, key):
+    cfg = {
+        "instances": [{"kind": "planted", "n": 8, "clusters": 2, "seed": 1}],
+        "epsilons": [1.0],
+        "pipelines": [{"mechanism": "unweighted-laplace", "merge": {"iterations": 40}}],
+    }
+    del cfg[key]
+    cfg_path = tmp_path / "matrix.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(["matrix", "--config", cfg_path, "--output", tmp_path / "r.csv"]) == 2
+    assert f"missing matrix keys: {key}" in capsys.readouterr().err
 
 
 def test_matrix_refuses_a_solver_seed(tmp_path, capsys):
@@ -287,6 +302,29 @@ def test_exit_codes(tmp_path):
     lines = [f"{u} {v} +" for u in range(n) for v in range(u + 1, n)]
     big.write_text(f"{n} {len(lines)}\n" + "\n".join(lines) + "\n")
     assert run(["cluster", "--input", big, "--solver", "exact"]) == 3
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("missing input", "No such file"),
+    ("output directory", "No such file"),
+    ("config not JSON", "is not JSON"),
+    ("config not an object", "not list"),
+])
+def test_bad_path_or_config_is_one_line_and_exit_2(tmp_path, capsys, kind, message):
+    g_path = tmp_path / "g.txt"
+    run(["generate", "--kind", "random-signs", "--n", "6", "--seed", "1", "--output", g_path])
+    cfg_path = tmp_path / "matrix.json"
+    cfg_path.write_text('{"instances": [' if kind == "config not JSON" else "[{}]")
+    argv = {
+        "missing input": ["release", "--input", tmp_path / "missing.txt"],
+        "output directory": ["release", "--input", g_path, "--merge-iterations", "5",
+                             "--output", tmp_path / "missing" / "h.txt"],
+    }.get(kind, ["matrix", "--config", cfg_path, "--output", tmp_path / "r.csv"])
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert message in err
 
 
 @pytest.mark.parametrize("text, line", [

@@ -150,7 +150,8 @@ class TestCuts:
 
     def test_row_subset_sums_match_whole_family(self):
         # rows of every kind: overlapping S != T, S == T, disjoint and
-        # complement; subsets in any order, with and without overlapping rows
+        # complement; subsets in any order, with and without overlapping
+        # rows, summed as a CutRows of their own
         rng = make_rng(111)
         for trial in range(30):
             n = int(rng.integers(2, 40))
@@ -166,9 +167,9 @@ class TestCuts:
                 t_rows.append(z == 2)
                 s_rows.append(rng.random(n) < 0.5)
                 t_rows.append(~s_rows[-1])
-            rows = CutRows(np.array(s_rows), np.array(t_rows))
+            s_rows, t_rows = np.array(s_rows), np.array(t_rows)
             matrix = channel_matrix(random_graph(rng, n, weighted=True, parallel=True), 1)
-            whole = rows.sums(matrix)
+            whole = CutRows(s_rows, t_rows).sums(matrix)
             count = whole.size
             kinds = np.arange(count) % 4
             subsets = [
@@ -180,7 +181,7 @@ class TestCuts:
                 np.empty(0, dtype=np.int64),
             ]
             for subset in subsets:
-                got = rows.sums(matrix, subset)
+                got = CutRows(s_rows[subset], t_rows[subset]).sums(matrix)
                 assert got.shape == subset.shape
                 np.testing.assert_allclose(got, whole[subset], rtol=1e-12, atol=1e-12)
 

@@ -26,7 +26,6 @@ from privcc.release_unweighted import (
     MergeConfig,
     _loosen,
     _max_violation,
-    _sample_set_pairs,
     _shared_pairs,
     laplace_release,
     release_unweighted,
@@ -115,7 +114,7 @@ def dense_gradient_merge(wplus, wminus, budget, rng, iterations):
     iu, iv = np.triu_indices(n, 1)
     x_mat = np.clip((wp_mat + 1.0 - wm_mat) / 2.0, 0.0, 1.0)
     np.fill_diagonal(x_mat, 0.0)
-    s_rows, t_rows = _sample_set_pairs(n, budget, rng)
+    s_rows, t_rows = CutFamily(n, budget, rng).masks()
     rows, sizes = CutRows(s_rows, t_rows), cut_sizes(s_rows, t_rows)
     tp, tm = rows.sums(wp_mat), rows.sums(wm_mat)
     best_lam, best_x, stale, run = np.inf, x_mat.copy(), 0, 0
@@ -176,7 +175,8 @@ class TestMerge:
         solution, after checking it against ``dense_gradient_merge``.  A
         ``paths`` dict also gets the steps the clamp cut short
         (``"clipped"``) and the ``(step, rows)`` of each re-sum of a row
-        subset after a step (``"partial"``).
+        subset after a step (``"partial"``), told from a whole re-sum by
+        its row count.
         """
         steps, asked = [], []
         paths = {} if paths is None else paths
@@ -196,13 +196,17 @@ class TestMerge:
             paths["clipped"].append(len(steps))
             return loosen(*args)
 
+        whole = 2 * (budget or 4 * noisy_p.n)
+
         class SpiedRows(CutRows):
-            def sums(self, matrix, rows=None):
-                if steps and rows is None:  # the sums taken before the first step are no recompute
+            def sums(self, matrix):
+                count = self.s.shape[0]
+                # the sums taken before the first step are no recompute
+                if steps and count == whole:
                     steps[-1][2] = True
                 elif steps:
-                    paths["partial"].append((len(steps), len(rows)))
-                return super().sums(matrix, rows)
+                    paths["partial"].append((len(steps), count))
+                return super().sums(matrix)
 
         monkeypatch.setattr(release_unweighted_module, "_max_violation", spy_pick)
         monkeypatch.setattr(release_unweighted_module, "_shared_pairs", spy_shared)
@@ -273,14 +277,12 @@ class TestMerge:
         assert self.cut_step_paths(steps)[0] > _RESYNC
 
     def test_repeated_cut_row_matches_reference(self, monkeypatch):
-        # on a noisy planted instance the loop steps one complement cut over
-        # and over, reusing that row's pair indices and shared-pair counts
-        n = 48
-        noisy_p, noisy_m = self.planted_channels(n)
+        # on a noisy planted instance the loop steps one cut over and over,
+        # reusing that row's pair indices and shared-pair counts
+        noisy_p, noisy_m = self.planted_channels(48)
         steps, asked, _ = self.spied_merge(monkeypatch, noisy_p, noisy_m, None, 1, 300)
         cut_rows = [row for kind, row, _ in steps if kind.startswith("cut")]
         row, count = Counter(cut_rows).most_common(1)[0]
-        assert row >= 4 * n  # a complement row
         incremental = sum(r == row and not full for _, r, full in steps)
         assert count > 200 and incremental > 200
         # its counts are summed once per run of steps on it, not once per step
@@ -314,7 +316,7 @@ class TestMerge:
             (noisy_p, noisy_m), seed, iterations = self.planted_channels(48), 1, 300
         n = noisy_p.n
         wp, wm = noisy_p.values, noisy_m.values
-        s_rows, t_rows = _sample_set_pairs(n, 4 * n, make_rng(seed))
+        s_rows, t_rows = CutFamily(n, 4 * n, make_rng(seed)).masks()
         family, sizes = CutRows(s_rows, t_rows), cut_sizes(s_rows, t_rows)
         tp, tm = family.sums(noisy_p.matrix()), family.sums(noisy_m.matrix())
         pick, open_rows = release_unweighted_module._max_violation, release_unweighted_module._open_rows
@@ -403,7 +405,7 @@ class TestMerge:
             lp.best_iteration, lp.training_lambda
         )
         # the training lambda is the returned x's worst violation on the training rows
-        s_rows, t_rows = _sample_set_pairs(30, 120, make_rng(30))
+        s_rows, t_rows = CutFamily(30, 120, make_rng(30)).masks()
         rows, sizes = CutRows(s_rows, t_rows), cut_sizes(s_rows, t_rows)
         tp, tm = rows.sums(noisy_p.matrix()), rows.sums(noisy_m.matrix())
         cs = rows.sums(WeightedChannel(30, lp.x).matrix())
@@ -499,24 +501,6 @@ class TestMerge:
         assert round_params == {"solution", "rng"}
 
 
-def row_loop_set_pairs(n, budget, rng):
-    """``_sample_set_pairs`` drawn one row per call, as a reference for its draw order."""
-    s_rows = np.zeros((2 * budget, n), dtype=bool)
-    t_rows = np.zeros((2 * budget, n), dtype=bool)
-    for i in range(budget):
-        if rng.random() < 0.5:
-            s_rows[i] = rng.random(n) < 0.5
-            t_rows[i] = rng.random(n) < 0.5
-        else:
-            z = rng.integers(0, 3, size=n)
-            s_rows[i] = z == 0
-            t_rows[i] = z == 1
-    for i in range(budget, 2 * budget):
-        s_rows[i] = rng.random(n) < 0.5
-        t_rows[i] = ~s_rows[i]
-    return s_rows, t_rows
-
-
 def audit_stream(rng):
     """The stream the merge's audit draws from when ``rng`` is in this state."""
     return np.random.Generator(rng.bit_generator.jumped())
@@ -574,18 +558,6 @@ class TestAudit:
     # and just above two
     BUDGETS = (_AUDIT_BLOCK // 2 - 1, _AUDIT_BLOCK // 2, _AUDIT_BLOCK // 2 + 1, _AUDIT_BLOCK + 1)
 
-    def test_sampling_matches_row_loop(self):
-        for n in (1, 2, 13, 50, 201):
-            for seed in range(5):
-                for budget in (1, 3, 4 * n):
-                    rng, ref = make_rng(seed), make_rng(seed)
-                    got = _sample_set_pairs(n, budget, rng)
-                    want = row_loop_set_pairs(n, budget, ref)
-                    assert np.array_equal(got[0], want[0])
-                    assert np.array_equal(got[1], want[1])
-                    # Philox state holds arrays: compare it whole through repr
-                    assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
-
     @pytest.mark.parametrize("block", [1, 7, _AUDIT_BLOCK, 2 * _AUDIT_BLOCK])
     def test_blocks_match_one_draw(self, monkeypatch, block):
         # budgets 3 and 10 put the mixed/complement boundary inside a block
@@ -616,6 +588,23 @@ class TestAudit:
                 sums = family.sums(m)
                 assert all(shape == (block, n) for shape in shapes[:-1])
                 assert np.array_equal(sums, whole.sums(m))
+
+    @pytest.mark.parametrize("n", [1, 13, 16])
+    def test_masks_read_the_rows_asked(self, n):
+        # every row, a slice across the mixed/complement boundary, an
+        # unsorted index array with repeats, and no rows at all
+        budget = 10
+        family = CutFamily(n, budget, make_rng(97, n))
+        want_s, want_t = packed_family_reference(n, budget, make_rng(97, n))
+        for rows in (
+            slice(None),
+            slice(3, 17),
+            np.array([19, 0, 7, 7, 12, 0]),
+            np.empty(0, dtype=np.int64),
+        ):
+            s, t = family.masks(rows)
+            assert s.dtype == t.dtype == bool
+            assert np.array_equal(s, want_s[rows]) and np.array_equal(t, want_t[rows])
 
     @pytest.mark.parametrize("n", [13, 64])
     def test_packed_family_is_the_sampled_family(self, n):
@@ -731,7 +720,7 @@ class TestAudit:
             sol = solve_merge_lp(wp, wm, budget, make_rng(86), iterations=30, strategy=strategy)
             ref = make_rng(86)
             if strategy == "sampled-lp":
-                _sample_set_pairs(n, budget, ref)  # the training draws come before the jump
+                CutFamily(n, budget, ref)  # the training draws come before the jump
             family = packed_family_reference(n, budget, audit_stream(ref))
             want = three_product_lambda(sol, wp, wm, *family)
             assert sol.lam == (want if exact else pytest.approx(want, rel=1e-12))
