@@ -50,13 +50,13 @@ print("\n== the dispatcher ==")
 g = random_complete(11)
 print("n=11 goes to the oracle:", solve(g) == solve_exact(g))
 big = random_complete(60)
-c = solve(big, SolverConfig(seed=1))
+c = solve(big, seed=1)
 print("n=60 via pivot + refinement: err", disagreement(c, big), "with", c.k, "clusters")
 
-capped = solve(big, SolverConfig(seed=1, max_clusters=3))
+capped = solve(big, SolverConfig(max_clusters=3), seed=1)
 print("same instance capped at 3 clusters: err", disagreement(capped, big),
       "with", capped.k, "clusters")
 
 print("\n== determinism ==")
-again = solve(big, SolverConfig(seed=1))
+again = solve(big, seed=1)
 print("same seed, same partition:", again == c)

@@ -125,7 +125,7 @@ def _cmd_release(args) -> int:
 
 def _cmd_cluster(args) -> int:
     graph = read_edge_list(args.input)
-    cfg = SolverConfig(max_clusters=args.k, seed=args.seed, restarts=args.restarts)
+    cfg = SolverConfig(max_clusters=args.k, restarts=args.restarts)
     if args.solver == "exact":
         clustering = solve_exact(graph, cfg)
     elif args.solver in ("pivot", "local-search"):
@@ -135,7 +135,7 @@ def _cmd_cluster(args) -> int:
         if args.solver == "local-search":
             clustering = local_search(graph, clustering, cfg)
     else:
-        clustering = solve(graph, cfg)
+        clustering = solve(graph, cfg, args.seed)
     payload = {
         "n": clustering.n,
         "k": clustering.k,
@@ -214,7 +214,7 @@ def _cmd_lowerbound(args) -> int:
         mech = exponential_mechanism
     else:  # non-private reference point
         def mech(graph, p, r):
-            return solve(graph, SolverConfig())
+            return solve(graph)
 
     rows = packing_experiment(mech, params, args.edge_weight, codebook,
                               args.reps, rng)
@@ -233,8 +233,7 @@ def _cmd_audit_cuts(args) -> int:
     config = PipelineConfig(mechanism="weighted-laplace", engine=args.engine)
     released, _ = release_stage(graph, params, config, args.seed)
     report = {}
-    net = graph.channel_flat(1) - graph.channel_flat(-1)
-    for sign, name, channel in zip((1, -1), ("plus", "minus"), sign_channels(net)):
+    for sign, name, channel in zip((1, -1), ("plus", "minus"), sign_channels(graph.net_flat())):
         a = WeightedChannel(graph.n, channel)
         b = WeightedChannel(graph.n, released.channel_flat(sign))
         report[f"cut_distance_{name}"] = sampled_cut_distance(

@@ -185,10 +185,6 @@ class PipelineConfig:
             raise ContractViolation("the exponential mechanism has no zero-noise engine")
         if self.coarsen_k is not None and self.coarsen_k < 1:
             raise ContractViolation(f"coarsen_k must be >= 1, got {self.coarsen_k}")
-        if self.solver.seed != 0:
-            raise ContractViolation(
-                "solver.seed must stay 0: a pipeline solves with its cell seed"
-            )
 
     @property
     def zero_noise(self) -> bool:
@@ -276,15 +272,14 @@ def postprocess_stage(
     released: SignedGraph, config: PipelineConfig, seed: int
 ) -> tuple[Clustering, CoarsenReport | None]:
     """Solve and coarsen on the released graph; never sees the input."""
-    solver_cfg = replace(config.solver, seed=seed)
     if config.mechanism == "weighted-laplace":
         h_split, mapping = split_transform(released)
         core = contract_coupled(h_split, mapping)
-        meta = solve(core, solver_cfg)
+        meta = solve(core, config.solver, seed)
         lifted = Clustering(np.concatenate([meta.assignment, meta.assignment]))
         clustering = unsplit(lifted, mapping)
     else:
-        clustering = solve(released, solver_cfg)
+        clustering = solve(released, config.solver, seed)
     report: CoarsenReport | None = None
     if config.coarsen_enabled:
         kp = default_k_prime(released.n) if config.coarsen_k is None else config.coarsen_k
@@ -296,9 +291,7 @@ def postprocess_stage(
             # polish within the coarsened cluster budget; an unrestricted
             # solution tends to overfit release noise, and its merged form
             # usually is not even locally optimal at its own cluster count
-            polish = replace(
-                config.solver, seed=seed, max_clusters=clustering.k
-            )
+            polish = replace(config.solver, max_clusters=clustering.k)
             clustering = local_search(released, clustering, polish)
     return clustering, report
 
@@ -446,7 +439,10 @@ def run_matrix(
 
     ``matrix`` needs ``instances``, ``epsilons`` and ``pipelines``, and may
     give ``seeds`` (default ``[0]``), ``delta`` and ``master_seed``; a
-    missing or an unknown key is a :class:`ContractViolation`.
+    missing or an unknown key is a :class:`ContractViolation`.  Each
+    cell's seed is a hash of ``master_seed``, its index and its
+    replicate's value from ``seeds``, so ``[5]`` runs other cells than
+    ``[0]``.
 
     Cells are enumerated in deterministic order and written as they
     finish through a single writer.  With ``resume``, cells whose ids
@@ -475,6 +471,8 @@ def run_matrix(
     delta = float(matrix.get("delta", 0.0))
     pipelines = [_pipeline_from_dict(p) for p in matrix["pipelines"]]
     replicates = [int(s) for s in matrix.get("seeds", [0])]
+    if not all(-(2**63) <= s < 2**63 for s in (master_seed, *replicates)):
+        raise ContractViolation("master_seed and seeds must fit in 64 signed bits")
 
     resuming = resume and os.path.exists(csv_path)
     done = _done_cells(csv_path, jsonl_path) if resuming else set()
@@ -496,7 +494,7 @@ def run_matrix(
                 continue
             try:
                 graph, truth = generate_instance(spec)
-                cell_seed = stream_id("cell", master_seed, cell_index) >> 1
+                cell_seed = stream_id("cell", master_seed, cell_index, rep) >> 1
                 _, record = run_pipeline(
                     graph,
                     PrivacyParams(eps, delta),

@@ -293,9 +293,19 @@ class SignedGraph:
 
     def channel_flat(self, sign: int) -> np.ndarray:
         """Flat canonical-order channel weights over all C(n,2) pairs."""
-        w = self.pos_w if sign == 1 else self.neg_w
+        return self._flat((self.pos_w if sign == 1 else self.neg_w).copy())
+
+    def net_flat(self) -> np.ndarray:
+        """Flat canonical-order net weights ``pos_w - neg_w`` over all C(n,2) pairs.
+
+        A pair with weight in both channels enters through its net.
+        """
+        return self._flat(self.pos_w - self.neg_w)
+
+    def _flat(self, w: np.ndarray) -> np.ndarray:
+        # w holds one weight per stored pair; unstored pairs read 0
         if w.size == self.n * (self.n - 1) // 2:
-            return w.copy()  # every pair present, so already in canonical order
+            return w  # every pair present, so already in canonical order
         out = np.zeros(self.n * (self.n - 1) // 2)
         out[_flat_index(self.n, self.pair_u, self.pair_v)] = w
         return out
@@ -458,9 +468,6 @@ class PrivacyParams:
             raise ContractViolation(f"epsilon must be positive, got {self.epsilon}")
         if not (0 <= self.delta < 1):
             raise ContractViolation(f"delta must be in [0, 1), got {self.delta}")
-
-    def split(self, ways: int = 2) -> "PrivacyParams":
-        return PrivacyParams(self.epsilon / ways, self.delta / ways)
 
 
 # release engines: per-coordinate Laplace noise, or none (not private, tests only)

@@ -425,8 +425,8 @@ def release_unweighted(
         raise ContractViolation("release_unweighted needs an unweighted complete graph")
     if params.delta != 0:
         raise ContractViolation("this mechanism is pure DP; delta must be 0")
-    half = params.split(2)
-    scale = laplace_scale(engine, CHANNEL_SENSITIVITY, half.epsilon)
+    half = params.epsilon / 2  # one half of the budget per sign channel
+    scale = laplace_scale(engine, CHANNEL_SENSITIVITY, half)
     # a complete graph's read-only weights are its channels, flat in canonical order
     noisy = [
         laplace_release(WeightedChannel.adopt(graph.n, w), scale, rng)
@@ -446,7 +446,7 @@ def release_unweighted(
         epsilon=params.epsilon,
         delta=0.0,
         noise_scale=scale,
-        channel_budgets=(half.epsilon, half.epsilon),
+        channel_budgets=(half, half),
         lambda_residual=solution.lam,
         merge_strategy=solution.strategy,
         constraints_checked=solution.constraints_checked,

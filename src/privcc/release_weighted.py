@@ -58,13 +58,6 @@ def sign_channels(net: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(net, 0.0), np.maximum(-net, 0.0)
 
 
-def _net_flat(graph: SignedGraph) -> np.ndarray:
-    """The net weights ``W+ - W-`` over all pairs, in canonical order."""
-    net = graph.channel_flat(1)
-    net -= graph.channel_flat(-1)
-    return net
-
-
 def release_weighted(
     graph: SignedGraph,
     params: PrivacyParams,
@@ -82,7 +75,7 @@ def release_weighted(
     """
     scale = laplace_scale(engine, CHANNEL_SENSITIVITY, params.epsilon)
     n = graph.n
-    noisy = laplace_release(WeightedChannel.adopt(n, _net_flat(graph)), scale, rng).values
+    noisy = laplace_release(WeightedChannel.adopt(n, graph.net_flat()), scale, rng).values
     # a pair keeps an edge where its noisy net weight is nonzero and clears the threshold
     keep = np.flatnonzero((noisy != 0) & (np.abs(noisy) >= scale * math.log(max(n, 2))))
     noisy = noisy[keep]  # the full vector goes before the pair index is made

@@ -17,6 +17,8 @@ tie-breaking deterministic.
 Nothing persists between calls: :func:`solve` prepares the negated net
 matrix once and hands it to each restart's pivot and local-search passes
 as an argument, and a call made without it prepares its own.
+Randomness comes in as arguments too: :func:`solve`'s restarts draw
+from its ``seed``, and :func:`pivot_kwikcluster` from its ``rng``.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ _MAX_PASSES = 50
 @dataclass(frozen=True)
 class SolverConfig:
     max_clusters: int | None = None
-    seed: int = 0
     restarts: int = 8
 
     def __post_init__(self):
@@ -435,10 +436,10 @@ def cap_clusters(clustering: Clustering, kmax: int) -> Clustering:
 # Dispatcher
 
 
-def solve(graph: SignedGraph, cfg: SolverConfig | None = None) -> Clustering:
+def solve(graph: SignedGraph, cfg: SolverConfig | None = None, seed: int = 0) -> Clustering:
     """Exact search when n <= 12, otherwise pivot + local-search restarts.
 
-    Restarts use independent substreams of ``cfg.seed``; the best
+    Restarts draw from independent substreams of ``seed``; the best
     objective wins, ties broken by the smaller canonical string.
     """
     cfg = cfg or SolverConfig()
@@ -449,7 +450,7 @@ def solve(graph: SignedGraph, cfg: SolverConfig | None = None) -> Clustering:
     # one negated net matrix for the pivot and local-search passes of every restart
     prepared = _prepare(graph)
     for restart in range(cfg.restarts):
-        rng = make_rng(cfg.seed, "pivot-restart", restart)
+        rng = make_rng(seed, "pivot-restart", restart)
         cand = pivot_kwikcluster(graph, rng, prepared=prepared)
         if cfg.max_clusters is not None:
             cand = cap_clusters(cand, cfg.max_clusters)

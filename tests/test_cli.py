@@ -241,6 +241,21 @@ def test_matrix_refuses_a_missing_key(tmp_path, capsys, key):
     assert f"missing matrix keys: {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("seeds", [0, 2**63]), ("master_seed", -(2**63) - 1)])
+def test_matrix_refuses_a_seed_outside_64_bits(tmp_path, capsys, key, value):
+    # a cell seed hashes both, so a wider one would fail every cell, not the config
+    cfg = {
+        "instances": [{"kind": "planted", "n": 8, "clusters": 2, "seed": 1}],
+        "epsilons": [1.0],
+        "pipelines": [{"mechanism": "unweighted-laplace", "merge": {"iterations": 40}}],
+        key: value,
+    }
+    cfg_path = tmp_path / "matrix.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(["matrix", "--config", cfg_path, "--output", tmp_path / "r.csv"]) == 2
+    assert "must fit in 64 signed bits" in capsys.readouterr().err
+
+
 def test_matrix_refuses_a_solver_seed(tmp_path, capsys):
     cfg = {
         "instances": [{"kind": "planted", "n": 8, "clusters": 2, "seed": 1}],
@@ -250,7 +265,7 @@ def test_matrix_refuses_a_solver_seed(tmp_path, capsys):
     cfg_path = tmp_path / "matrix.json"
     cfg_path.write_text(json.dumps(cfg))
     assert run(["matrix", "--config", cfg_path, "--output", tmp_path / "r.csv"]) == 2
-    assert "cell seed" in capsys.readouterr().err
+    assert "unknown solver keys: seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])

@@ -28,7 +28,6 @@ from privcc.experiments import (
     run_pipeline,
 )
 from privcc.release_unweighted import MergeConfig
-from privcc.solvers import SolverConfig
 
 
 class TestGenerate:
@@ -157,7 +156,7 @@ class TestPipeline:
                            coarsen_enabled=False),
             seed=8,
         )
-        direct = solve(g, SolverConfig(seed=8))
+        direct = solve(g, seed=8)
         assert c == direct
         assert rec.err == disagreement(direct, g)
 
@@ -204,12 +203,6 @@ class TestPipeline:
             g, PrivacyParams(1.0), PipelineConfig(merge=MergeConfig(iterations=20)), 2
         )
         assert audit.mechanism == "unweighted-laplace-merge-round"
-
-    def test_solver_seed_is_the_cell_seed(self):
-        # the pipeline solves with its own seed, so a solver seed would be ignored
-        with pytest.raises(ContractViolation, match="cell seed"):
-            PipelineConfig(solver=SolverConfig(seed=3))
-        assert PipelineConfig(solver=SolverConfig(seed=0, restarts=2)).solver.restarts == 2
 
     def test_engine_is_the_noise_switch(self):
         assert PipelineConfig(engine="zero-noise-test").zero_noise
@@ -346,6 +339,25 @@ class TestMatrix:
         run_matrix(self.MATRIX, str(a), None)
         run_matrix(self.MATRIX, str(b), None)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_each_seed_value_reaches_its_cells(self, tmp_path):
+        # a replicate's value enters its cell seed, so [1] runs other cells than [0]
+        rows = {}
+        for value in (0, 1):
+            matrix = dict(self.MATRIX, epsilons=[1.0], seeds=[value])
+            a, b = tmp_path / f"{value}a.csv", tmp_path / f"{value}b.csv"
+            run_matrix(matrix, str(a), None)
+            run_matrix(matrix, str(b), None)
+            assert a.read_bytes() == b.read_bytes()
+            with open(a, newline="", encoding="utf-8") as fh:
+                header, *rows[value] = csv.reader(fh)
+        seed = header.index("seed")
+        assert {r[seed] for r in rows[0]}.isdisjoint(r[seed] for r in rows[1])
+        assert len(rows[0]) == len(rows[1]) == 2
+        # the draws change too, not only the seed column
+        assert [r[:seed] + r[seed + 1:] for r in rows[0]] != [
+            r[:seed] + r[seed + 1:] for r in rows[1]
+        ]
 
     def test_resume_completes_interrupted_run(self, tmp_path):
         full, partial = tmp_path / "full.csv", tmp_path / "partial.csv"

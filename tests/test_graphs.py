@@ -324,6 +324,20 @@ class TestTypes:
         pu, pv = np.triu_indices(7, 1)
         assert np.array_equal(g.channel_flat(1), m[pu, pv])
 
+    @pytest.mark.parametrize("kind", ["complete", "sparse", "parallel", "n=1"])
+    def test_net_flat_is_each_pairs_net_at_its_rank(self, kind):
+        rng = make_rng(20)
+        n = 1 if kind == "n=1" else 13
+        g = random_graph(rng, n, weighted=True, complete=kind == "complete",
+                         density=0.4, parallel=kind == "parallel")
+        ref = np.zeros(n * (n - 1) // 2)
+        rank = {pair: r for r, pair in enumerate(zip(*np.triu_indices(n, 1)))}
+        for u, v, pw, nw in zip(g.pair_u, g.pair_v, g.pos_w, g.neg_w):
+            ref[rank[u, v]] = pw - nw
+        flat = g.net_flat()
+        assert flat.tobytes() == ref.tobytes()
+        assert flat.flags.writeable and not np.shares_memory(flat, g.pos_w)
+
     def test_net_matrix_is_channel_difference(self):
         rng = make_rng(19)
         g = random_graph(rng, 25, weighted=True, parallel=True)

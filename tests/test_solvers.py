@@ -433,8 +433,8 @@ class TestSolve:
     def test_deterministic(self):
         rng = make_rng(15)
         g = random_graph(rng, 20, complete=True)
-        c1 = solve(g, SolverConfig(seed=5))
-        c2 = solve(g, SolverConfig(seed=5))
+        c1 = solve(g, seed=5)
+        c2 = solve(g, seed=5)
         assert c1 == c2
 
     def test_every_solver_at_least_exact_optimum(self):
