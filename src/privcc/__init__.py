@@ -1,10 +1,10 @@
 """Differentially private correlation clustering via synthetic graph release.
 
 The package follows a release-then-optimize recipe: a private mechanism
-publishes a synthetic signed graph whose cuts track the input, a
-non-private solver clusters the synthetic graph, and a coarsening step
-caps the cluster count.  Everything downstream of the release is
-post-processing, so the clustering inherits the release's privacy.
+publishes a synthetic signed graph whose cuts track the input, and a
+non-private solver clusters it into at most k' = ceil(n^(1/4)) clusters,
+a cap whose cost the paper's coarsening bounds.  Everything downstream of the
+release is post-processing, so the clustering inherits the release's privacy.
 """
 
 from ._rng import make_rng, stream_id

@@ -292,7 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["unweighted-laplace", "weighted-laplace", "exponential"])
     p.add_argument("--engine", default=PipelineConfig.engine, help=_ENGINE_HELP)
     p.add_argument("--restarts", type=int, default=SolverConfig.restarts)
-    p.add_argument("--no-coarsen", action="store_true")
+    p.add_argument("--no-coarsen", action="store_true",
+                   help="solve with no cluster cap; by default the solver keeps "
+                        "at most k' = ceil(n^(1/4)) clusters")
     p.add_argument("--format", default="csv", choices=["csv", "jsonl"])
     p.set_defaults(func=_cmd_pipeline)
 

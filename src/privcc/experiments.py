@@ -1,10 +1,10 @@
-"""Instance generators, the release-solve-coarsen pipeline, and the matrix runner.
+"""Instance generators, the release-then-solve pipeline, and the matrix runner.
 
 A pipeline run has three strictly separated stages:
 
 * release: the only stage that reads the private graph;
-* postprocess: solving and coarsening, which see the released graph only
-  (their functions do not take the private graph as a parameter);
+* postprocess: solving at the cluster cap, which sees the released graph
+  only (its functions do not take the private graph as a parameter);
 * evaluate: recomputes objectives on the true graph for reporting.  This
   read is evaluation-only and every emitted record carries
   ``nonprivate_eval: true`` to make that explicit.
@@ -12,8 +12,8 @@ A pipeline run has three strictly separated stages:
 Records are emitted twice: a CSV row with the plot-ready, deterministic
 fields (identical bytes for identical seeds; :mod:`csv` quotes the
 instance labels and solver ids, which hold commas), and a JSONL record
-that additionally carries wall times (total and per stage), the
-coarsening report, and the release's whole audit under ``release``
+that additionally carries wall times (total and per stage) and the
+release's whole audit under ``release``
 (:meth:`ReleaseOutput.audit_dict`, None on the exponential route).  The
 split is declared once, on the fields of :class:`ExperimentRecord`: a
 field marked ``jsonl_only`` in its metadata stays out of the CSV, and
@@ -44,20 +44,15 @@ from .graphs import (
     agreement,
     canonical_pairs,
     disagreement,
+    require_count,
+    require_number,
 )
 from .io import read_edge_list
 from .packing import path_graph, random_signs
 from .release_unweighted import MergeConfig, release_unweighted
 from .release_weighted import release_weighted
-from .solvers import SolverConfig, local_search, solve
-from .transforms import (
-    CoarsenReport,
-    coarsen,
-    contract_coupled,
-    default_k_prime,
-    split_transform,
-    unsplit,
-)
+from .solvers import SolverConfig, solve
+from .transforms import contract_coupled, default_k_prime, split_transform, unsplit
 from .expmech import exponential_mechanism
 
 __all__ = [
@@ -173,8 +168,8 @@ class PipelineConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     merge: MergeConfig = field(default_factory=MergeConfig)
     engine: str = "laplace"  # | zero-noise-test: non-private, pipeline tests only
-    coarsen_enabled: bool = True
-    coarsen_k: int | None = None  # None -> ceil(n^(1/4))
+    coarsen_enabled: bool = True  # cap the solver at k' clusters, or solver.max_clusters if lower
+    coarsen_k: int | None = None  # the solver's cap k'; None -> ceil(n^(1/4))
 
     def __post_init__(self):
         if self.mechanism not in ("unweighted-laplace", "weighted-laplace", "exponential"):
@@ -183,8 +178,8 @@ class PipelineConfig:
             raise ContractViolation(f"unknown release engine {self.engine!r}")
         if self.mechanism == "exponential" and self.zero_noise:
             raise ContractViolation("the exponential mechanism has no zero-noise engine")
-        if self.coarsen_k is not None and self.coarsen_k < 1:
-            raise ContractViolation(f"coarsen_k must be >= 1, got {self.coarsen_k}")
+        if self.coarsen_k is not None:
+            require_count(self.coarsen_k, "coarsen_k")
 
     @property
     def zero_noise(self) -> bool:
@@ -223,7 +218,6 @@ class ExperimentRecord:
     lambda_residual: float | None
     # JSONL only: wall time differs between reruns; the others are not plot data
     wall_ms: float = field(default=0.0, metadata=_JSONL_ONLY)
-    coarsen_report: dict | None = field(default=None, metadata=_JSONL_ONLY)
     nonprivate_eval: bool = field(default=True, metadata=_JSONL_ONLY)
     release: dict | None = field(default=None, metadata=_JSONL_ONLY)
     # per-stage wall times; the exponential route's sampling counts as release
@@ -268,32 +262,24 @@ def release_stage(
     raise ContractViolation(f"mechanism {config.mechanism!r} has no release stage")
 
 
-def postprocess_stage(
-    released: SignedGraph, config: PipelineConfig, seed: int
-) -> tuple[Clustering, CoarsenReport | None]:
-    """Solve and coarsen on the released graph; never sees the input."""
+def postprocess_stage(released: SignedGraph, config: PipelineConfig, seed: int) -> Clustering:
+    """Solve on the released graph at the cluster cap; never sees the input.
+
+    With ``coarsen_enabled`` the solver keeps at most k' clusters (``coarsen_k``,
+    else ``default_k_prime(n)``), or ``solver.max_clusters`` if lower: it
+    searches directly the capped class whose cost the paper's coarsening bounds.
+    """
+    solver = config.solver
+    if config.coarsen_enabled:
+        kp = config.coarsen_k or default_k_prime(released.n)
+        solver = replace(solver, max_clusters=min(kp, solver.max_clusters or kp))
     if config.mechanism == "weighted-laplace":
         h_split, mapping = split_transform(released)
         core = contract_coupled(h_split, mapping)
-        meta = solve(core, config.solver, seed)
+        meta = solve(core, solver, seed)
         lifted = Clustering(np.concatenate([meta.assignment, meta.assignment]))
-        clustering = unsplit(lifted, mapping)
-    else:
-        clustering = solve(released, config.solver, seed)
-    report: CoarsenReport | None = None
-    if config.coarsen_enabled:
-        kp = default_k_prime(released.n) if config.coarsen_k is None else config.coarsen_k
-        max_w = float(
-            max(released.pos_w.max(initial=0.0), released.neg_w.max(initial=0.0))
-        )
-        clustering, report = coarsen(clustering, released.n, kp, max_w)
-        if clustering.k < released.n:
-            # polish within the coarsened cluster budget; an unrestricted
-            # solution tends to overfit release noise, and its merged form
-            # usually is not even locally optimal at its own cluster count
-            polish = replace(config.solver, max_clusters=clustering.k)
-            clustering = local_search(released, clustering, polish)
-    return clustering, report
+        return unsplit(lifted, mapping)
+    return solve(released, solver, seed)
 
 
 def evaluate_stage(
@@ -328,19 +314,18 @@ def run_pipeline(
     instance_label: str = "",
     cell: int = 0,
 ) -> tuple[Clustering, ExperimentRecord]:
-    """Release, solve, coarsen, then evaluate against the true graph."""
+    """Release, solve at the cluster cap, then evaluate against the true graph."""
     t0 = time.perf_counter()
     if config.mechanism == "exponential":
         rng = make_rng(seed, "exp-mech")
         clustering = exponential_mechanism(graph, params, rng)
         released = graph  # no synthetic graph in this route
         audit = None
-        report = None
         t_release = t_post = time.perf_counter()
     else:
         released, audit = release_stage(graph, params, config, seed)
         t_release = time.perf_counter()
-        clustering, report = postprocess_stage(released, config, seed)
+        clustering = postprocess_stage(released, config, seed)
         t_post = time.perf_counter()
     metrics = evaluate_stage(graph, clustering, released, truth)
     t_end = time.perf_counter()
@@ -354,7 +339,6 @@ def run_pipeline(
         seed=seed,
         lambda_residual=audit.lambda_residual if audit else None,
         wall_ms=(t_end - t0) * 1000.0,  # includes evaluation
-        coarsen_report=report.to_dict() if report is not None else None,
         release=audit.audit_dict() if audit else None,
         release_stage_ms=(t_release - t0) * 1000.0,
         postprocess_stage_ms=(t_post - t_release) * 1000.0 if audit else None,
@@ -439,8 +423,10 @@ def run_matrix(
 
     ``matrix`` needs ``instances``, ``epsilons`` and ``pipelines``, and may
     give ``seeds`` (default ``[0]``), ``delta`` and ``master_seed``; a
-    missing or an unknown key is a :class:`ContractViolation`.  Each
-    cell's seed is a hash of ``master_seed``, its index and its
+    missing or an unknown key is a :class:`ContractViolation`, and so is a
+    seed that is not an integer, or an epsilon or delta that is no number or
+    outside its range.
+    Each cell's seed is a hash of ``master_seed``, its index and its
     replicate's value from ``seeds``, so ``[5]`` runs other cells than
     ``[0]``.
 
@@ -465,12 +451,13 @@ def run_matrix(
     missing = {"instances", "epsilons", "pipelines"} - set(matrix)
     if missing:
         raise ContractViolation(f"missing matrix keys: {', '.join(sorted(missing))}")
-    master_seed = int(matrix.get("master_seed", 0))
+    master_seed = require_number(matrix.get("master_seed", 0), "master_seed", integer=True)
     specs = [_from_dict(InstanceSpec, s, "instance") for s in matrix["instances"]]
-    epsilons = [float(e) for e in matrix["epsilons"]]
-    delta = float(matrix.get("delta", 0.0))
+    delta = float(require_number(matrix.get("delta", 0.0), "delta"))
+    budgets = [PrivacyParams(float(require_number(e, "epsilons")), delta)
+               for e in matrix["epsilons"]]
     pipelines = [_pipeline_from_dict(p) for p in matrix["pipelines"]]
-    replicates = [int(s) for s in matrix.get("seeds", [0])]
+    replicates = [require_number(s, "seeds", integer=True) for s in matrix.get("seeds", [0])]
     if not all(-(2**63) <= s < 2**63 for s in (master_seed, *replicates)):
         raise ContractViolation("master_seed and seeds must fit in 64 signed bits")
 
@@ -488,8 +475,8 @@ def run_matrix(
             )
         if csv_fh.tell() == 0:
             csv_fh.write(CSV_HEADER + "\n")
-        cells = itertools.product(specs, epsilons, pipelines, replicates)
-        for cell_index, (spec, eps, pipe, rep) in enumerate(cells):
+        cells = itertools.product(specs, budgets, pipelines, replicates)
+        for cell_index, (spec, params, pipe, rep) in enumerate(cells):
             if cell_index in done:
                 continue
             try:
@@ -497,7 +484,7 @@ def run_matrix(
                 cell_seed = stream_id("cell", master_seed, cell_index, rep) >> 1
                 _, record = run_pipeline(
                     graph,
-                    PrivacyParams(eps, delta),
+                    params,
                     pipe,
                     cell_seed,
                     truth=truth,

@@ -30,6 +30,7 @@ unweighted graphs.
 from __future__ import annotations
 
 import math
+import numbers
 import weakref
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
@@ -39,6 +40,8 @@ import numpy as np
 __all__ = [
     "ContractViolation",
     "SizeRefusal",
+    "require_number",
+    "require_count",
     "SignedGraph",
     "canonical_pairs",
     "upper_mask",
@@ -66,6 +69,20 @@ class ContractViolation(ValueError):
 
 class SizeRefusal(RuntimeError):
     """Instance exceeds a hard size limit; refused rather than degraded."""
+
+
+def require_number(value, name: str, integer: bool = False):
+    """``value``, refused unless it is a number, or an integer if asked; a bool is neither."""
+    kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ContractViolation(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def require_count(value, name: str) -> None:
+    """Refuse ``value`` unless it is an integer of at least 1."""
+    if require_number(value, name, integer=True) < 1:
+        raise ContractViolation(f"{name} must be >= 1, got {value}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

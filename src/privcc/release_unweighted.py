@@ -92,6 +92,7 @@ from .graphs import (
     canonical_pairs,
     fill_pairs,
     laplace_scale,
+    require_count,
     upper_mask,
 )
 
@@ -132,10 +133,9 @@ class MergeConfig:
     def __post_init__(self):
         if self.strategy not in ("sampled-lp", "per-edge"):
             raise ContractViolation(f"unknown merge strategy {self.strategy!r}")
-        if self.constraint_budget is not None and self.constraint_budget < 1:
-            raise ContractViolation("constraint_budget must be >= 1")
-        if self.iterations < 1:
-            raise ContractViolation("iterations must be >= 1")
+        if self.constraint_budget is not None:
+            require_count(self.constraint_budget, "constraint_budget")
+        require_count(self.iterations, "iterations")
 
 
 def laplace_release(

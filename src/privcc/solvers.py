@@ -36,6 +36,7 @@ from .graphs import (
     SignedGraph,
     SizeRefusal,
     disagreement,
+    require_count,
 )
 
 __all__ = [
@@ -63,10 +64,9 @@ class SolverConfig:
     restarts: int = 8
 
     def __post_init__(self):
-        if self.max_clusters is not None and self.max_clusters < 1:
-            raise ContractViolation("max_clusters must be >= 1")
-        if self.restarts < 1:
-            raise ContractViolation("restarts must be >= 1")
+        if self.max_clusters is not None:
+            require_count(self.max_clusters, "max_clusters")
+        require_count(self.restarts, "restarts")
 
 
 # ---------------------------------------------------------------------------
@@ -421,15 +421,11 @@ def cap_clusters(clustering: Clustering, kmax: int) -> Clustering:
         raise ContractViolation(f"kmax must be >= 1, got {kmax}")
     if clustering.k <= kmax:
         return clustering
-    sizes = clustering.sizes()
-    order = np.argsort(-sizes, kind="stable")
-    keep = set(order[: kmax - 1].tolist())
-    labels = clustering.assignment.copy()
-    bucket = clustering.k
-    for cid in range(clustering.k):
-        if cid not in keep:
-            labels[clustering.assignment == cid] = bucket
-    return Clustering(labels)
+    keep = np.argsort(-clustering.sizes(), kind="stable")[: kmax - 1]
+    # every cluster id maps to the bucket, id k, except the kept ones
+    relabel = np.full(clustering.k, clustering.k, dtype=np.int64)
+    relabel[keep] = keep
+    return Clustering(relabel[clustering.assignment])
 
 
 # ---------------------------------------------------------------------------

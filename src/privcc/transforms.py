@@ -9,6 +9,10 @@ often-quoted bound of ``k_prime`` total does not hold once large
 clusters are counted).  The extra disagreement introduced is at most
 ``sum_bins C(bin_size, 2) * W`` for maximum edge weight W.
 
+:func:`coarsen` is the construction of the paper's coarsening lemma, which
+bounds what the cap costs; the pipeline searches the capped class directly
+instead, with :func:`default_k_prime` as the solver's ``max_clusters``.
+
 Vertex splitting turns a graph with parallel (one positive, one
 negative) pair edges into an ordinary signed graph on 2n vertices:
 positive edges connect the plus copies, negative edges the minus copies,
@@ -42,14 +46,6 @@ class CoarsenReport:
     k_after: int
     bins: tuple[tuple[int, ...], ...] = field(default_factory=tuple)
     merge_cost_bound: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "k_before": self.k_before,
-            "k_after": self.k_after,
-            "bins": [list(b) for b in self.bins],
-            "merge_cost_bound": self.merge_cost_bound,
-        }
 
 
 def default_k_prime(n: int) -> int:

@@ -268,6 +268,58 @@ def test_matrix_refuses_a_solver_seed(tmp_path, capsys):
     assert "unknown solver keys: seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("seeds", [1.7], "seeds must be an integer, got 1.7"),
+    ("seeds", [True], "seeds must be an integer, got True"),
+    ("master_seed", 2.5, "master_seed must be an integer, got 2.5"),
+    ("master_seed", False, "master_seed must be an integer, got False"),
+    ("epsilons", ["x"], "epsilons must be a number, got 'x'"),
+    ("epsilons", [True], "epsilons must be a number, got True"),
+    ("delta", "0.1", "delta must be a number, got '0.1'"),
+    ("delta", None, "delta must be a number, got None"),
+    ("epsilons", [0], "epsilon must be positive, got 0.0"),
+    ("delta", 1.5, "delta must be in [0, 1), got 1.5"),
+])
+def test_matrix_refuses_a_bad_seed_or_budget(tmp_path, capsys, key, value, message):
+    # each used to run other cells than asked ([1.7] ran those of [1]), end
+    # in a traceback, or fail every cell and exit 0 (epsilon 0, delta 1.5)
+    cfg = {
+        "instances": [{"kind": "planted", "n": 8, "clusters": 2, "seed": 1}],
+        "epsilons": [1.0],
+        "pipelines": [{"mechanism": "unweighted-laplace", "merge": {"iterations": 40}}],
+        key: value,
+    }
+    cfg_path = tmp_path / "matrix.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(["matrix", "--config", cfg_path, "--output", tmp_path / "r.csv"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and message in err
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("solver", "max_clusters", 2.5),
+    ("solver", "max_clusters", True),
+    ("solver", "restarts", 1.5),
+    ("pipeline", "coarsen_k", 2.5),
+    ("merge", "iterations", 2.5),
+    ("merge", "constraint_budget", 2.5),
+])
+def test_matrix_refuses_a_fractional_size(tmp_path, capsys, where, key, value):
+    # these passed the configs and then failed every cell inside the solver
+    pipeline = {"mechanism": "unweighted-laplace", "merge": {"iterations": 40}}
+    (pipeline.setdefault(where, {}) if where != "pipeline" else pipeline)[key] = value
+    cfg = {
+        "instances": [{"kind": "planted", "n": 8, "clusters": 2, "seed": 1}],
+        "epsilons": [1.0],
+        "pipelines": [pipeline],
+    }
+    cfg_path = tmp_path / "matrix.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(["matrix", "--config", cfg_path, "--output", tmp_path / "r.csv"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and f"{key} must be an integer" in err
+
+
 @pytest.mark.parametrize("budget", ["0", "-1"])
 def test_release_refuses_budget_below_one(tmp_path, budget):
     g_path = tmp_path / "g.txt"

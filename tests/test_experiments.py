@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,11 +24,14 @@ from privcc.experiments import (
     PipelineConfig,
     evaluate_stage,
     generate_instance,
+    postprocess_stage,
     release_stage,
     run_matrix,
     run_pipeline,
 )
 from privcc.release_unweighted import MergeConfig
+from privcc.solvers import SolverConfig
+from privcc.transforms import default_k_prime
 
 
 class TestGenerate:
@@ -218,6 +222,12 @@ class TestPipeline:
         with pytest.raises(ContractViolation, match="coarsen_k"):
             PipelineConfig(coarsen_k=k)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True])
+    def test_coarsen_k_that_is_not_an_integer_is_refused(self, k):
+        # it is the solver's cap, and a fractional cap fails every solve
+        with pytest.raises(ContractViolation, match="coarsen_k must be an integer"):
+            PipelineConfig(coarsen_k=k)
+
     def test_coarsening_caps_cluster_count(self):
         g, truth = generate_instance(
             InstanceSpec(kind="random-signs", n=40, seed=11)
@@ -225,9 +235,7 @@ class TestPipeline:
         c, rec = run_pipeline(
             g, PrivacyParams(0.5), PipelineConfig(coarsen_k=2), seed=12
         )
-        assert rec.k_out <= 5  # 2k' + 1
-        # the post-coarsen polish may drop clusters but never adds any
-        assert rec.coarsen_report is None or rec.k_out <= rec.coarsen_report["k_after"]
+        assert rec.k_out <= 2  # k'
 
     def test_wall_time_includes_evaluation(self, monkeypatch):
         g, truth = generate_instance(InstanceSpec(kind="planted", n=6, clusters=2))
@@ -251,6 +259,58 @@ class TestPipeline:
         _, r1 = run_pipeline(g, PrivacyParams(1.0), PipelineConfig(), 14, truth=truth)
         _, r2 = run_pipeline(g, PrivacyParams(1.0), PipelineConfig(), 14, truth=truth)
         assert r1.csv_row() == r2.csv_row()
+
+
+# one per release route, at a budget where the free solution of either
+# size has more than k' clusters, so that the cap binds
+CAP_ROUTES = {
+    "unweighted": ("unweighted-laplace", dict(kind="planted", clusters=4)),
+    "weighted": ("weighted-laplace",
+                 dict(kind="weighted-random", weight_dist="exponential", edge_weight=40.0)),
+}
+
+
+def released_graph(route, n):
+    mechanism, spec = CAP_ROUTES[route]
+    g, _ = generate_instance(InstanceSpec(n=n, seed=2, **spec))
+    config = PipelineConfig(mechanism=mechanism, merge=MergeConfig(strategy="per-edge"))
+    released, _ = release_stage(g, PrivacyParams(4.0), config, 5)
+    return released, config
+
+
+class TestSolveAtTheCap:
+    @pytest.mark.parametrize("n", [12, 40], ids=["exact", "pivot-local-search"])
+    @pytest.mark.parametrize("route", sorted(CAP_ROUTES))
+    def test_at_most_k_prime_clusters(self, route, n):
+        released, config = released_graph(route, n)
+        capped = postprocess_stage(released, config, 5)
+        free = postprocess_stage(released, replace(config, coarsen_enabled=False), 5)
+        assert capped.k <= default_k_prime(n) < free.k
+
+    @pytest.mark.parametrize("coarsen_k, max_clusters, cap", [
+        (None, None, 3),  # k' = ceil(40^(1/4))
+        (None, 2, 2),  # a lower solver cap wins
+        (None, 1, 1),
+        (None, 5, 3),
+        (2, None, 2),
+        (2, 1, 1),
+    ])
+    def test_solves_at_the_lower_of_k_prime_and_the_solver_cap(
+        self, coarsen_k, max_clusters, cap
+    ):
+        released, config = released_graph("unweighted", 40)
+        config = replace(config, solver=SolverConfig(max_clusters=max_clusters),
+                         coarsen_k=coarsen_k)
+        clustering = postprocess_stage(released, config, 5)
+        assert clustering == solve(released, SolverConfig(max_clusters=cap), 5)
+        assert clustering.k <= cap
+
+    @pytest.mark.parametrize("n", [12, 40], ids=["exact", "pivot-local-search"])
+    @pytest.mark.parametrize("route", sorted(CAP_ROUTES))
+    def test_without_coarsening_the_solver_runs_as_configured(self, route, n):
+        released, config = released_graph(route, n)
+        config = replace(config, coarsen_enabled=False)
+        assert postprocess_stage(released, config, 5) == solve(released, config.solver, 5)
 
 
 class CountingGraph(SignedGraph):
@@ -285,9 +345,7 @@ class TestPrivacyHygiene:
         released, audit = release_stage(g_release, params, config, seed)
 
         g_eval = CountingGraph(base)
-        from privcc.experiments import postprocess_stage
-
-        clustering, _ = postprocess_stage(released, config, seed)
+        clustering = postprocess_stage(released, config, seed)
         evaluate_stage(g_eval, clustering, released, truth)
 
         g_full = CountingGraph(base)
@@ -441,7 +499,7 @@ class TestMatrix:
         assert row["nonprivate_eval"] is True
         assert "wall_ms" in row and "wall_ms" not in CSV_HEADER
         jsonl_only = {
-            "wall_ms", "coarsen_report", "nonprivate_eval", "release",
+            "wall_ms", "nonprivate_eval", "release",
             "release_stage_ms", "postprocess_stage_ms", "evaluate_stage_ms",
         }
         assert set(row) == set(CSV_HEADER.split(",")) | jsonl_only

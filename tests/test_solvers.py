@@ -462,3 +462,26 @@ def test_cap_clusters_refuses_a_cap_below_one(kmax):
     # a cap of 0 used to return one bucket of every vertex, above the cap
     with pytest.raises(ContractViolation, match="kmax must be >= 1"):
         cap_clusters(Clustering([0, 1, 2, 2]), kmax)
+
+
+@pytest.mark.parametrize("kmax, expected", [
+    (1, [0, 0, 0, 0, 0, 0, 0, 0]),
+    (2, [0, 0, 0, 1, 1, 1, 0, 0]),
+    (3, [0, 1, 1, 2, 2, 2, 0, 0]),
+    # clusters 0, 3 and 4 tie at one vertex: the lowest id is kept
+    (4, [0, 1, 1, 2, 2, 2, 3, 3]),
+    (5, [0, 1, 1, 2, 2, 2, 3, 4]),
+])
+def test_cap_clusters_keeps_the_largest_and_buckets_the_rest(kmax, expected):
+    start = Clustering([0, 1, 1, 2, 2, 2, 3, 4])
+    assert cap_clusters(start, kmax) == Clustering(expected)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_clusters", 2.5), ("max_clusters", True), ("max_clusters", "3"),
+    ("restarts", 1.5), ("restarts", False), ("restarts", 2.0),
+])
+def test_solver_config_refuses_a_size_that_is_not_an_integer(field, value):
+    # a fractional size used to pass here and fail every solve with a TypeError
+    with pytest.raises(ContractViolation, match=f"{field} must be an integer"):
+        SolverConfig(**{field: value})
