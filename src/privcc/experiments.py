@@ -91,8 +91,12 @@ class InstanceSpec:
         kinds = ("planted", "random-signs", "path", "weighted-random", "file")
         if self.kind not in kinds:
             raise ContractViolation(f"instance kind must be one of {kinds}")
-        if self.kind != "file" and self.n < 2:
-            raise ContractViolation("need n >= 2")
+        if self.kind != "file":  # a file instance takes its n from the file
+            require_count(self.n, "n")
+            if self.n < 2:
+                raise ContractViolation("need n >= 2")
+        require_count(self.clusters, "clusters")
+        require_number(self.seed, "seed", integer=True)
         if not 0 <= self.flip_prob <= 1:
             raise ContractViolation("flip_prob must be in [0, 1]")
         if self.kind == "planted" and not 1 <= self.clusters <= self.n:

@@ -334,6 +334,8 @@ def solve_merge_lp(
                     stop = "patience"
                     break
             iterations_run = t
+            if t == iterations:  # no pick scores a step past the last one
+                break
             step = t ** -0.5  # relaxation on the exact halfspace projection
             if kind.startswith("pair"):
                 delta = signed if kind == "pair+" else -signed

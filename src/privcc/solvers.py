@@ -14,6 +14,11 @@ Partitions are enumerated as restricted growth strings in lexicographic
 order; the first optimum in that order is returned, which makes
 tie-breaking deterministic.
 
+Local search takes, after each move, either a full pass over the live
+margin matrix or, where that matrix is wide and the vertex moved has at
+most n/2 neighbours, a rescoring of just the rows the move changed; both
+give the same moves.
+
 Nothing persists between calls: :func:`solve` prepares the negated net
 matrix once and hands it to each restart's pivot and local-search passes
 as an argument, and a call made without it prepares its own.
@@ -56,6 +61,10 @@ EXACT_LIMIT = 12
 
 # local search stops after this many sweeps of n moves
 _MAX_PASSES = 50
+
+# a live margin matrix of at most this many entries is scored whole after
+# every move: below it, numpy's cost per call outweighs the rows saved
+_NARROW = 12288
 
 
 @dataclass(frozen=True)
@@ -172,7 +181,8 @@ class _Prepared(NamedTuple):
 
     comargin: np.ndarray
     hub: list[bool]
-    near: list[np.ndarray | None]
+    indptr: list[int]
+    indices: np.ndarray
 
 
 def _prepare(graph: SignedGraph) -> _Prepared:
@@ -182,16 +192,19 @@ def _prepare(graph: SignedGraph) -> _Prepared:
     margin in a cluster is the sum of its row over the members.  A hub has
     nonzero net weight to more than half the vertices; its moves take the
     full pass, which costs no more than rescoring its rows.  Every other
-    vertex keeps the sorted indices of itself and its neighbours, the
-    rows whose margins its move changes.
+    vertex v keeps the sorted indices of itself and its neighbours, the
+    rows whose margins its move changes, as ``indices[indptr[v]:indptr[v + 1]]``;
+    a hub's slice is empty.
     """
     comargin = graph.net_matrix()
     np.negative(comargin, out=comargin)
     nonzero = comargin != 0
-    hub = (2 * np.count_nonzero(nonzero, axis=1) > graph.n).tolist()
+    hub = 2 * np.count_nonzero(nonzero, axis=1) > graph.n
     np.fill_diagonal(nonzero, True)
-    near = [None if h else np.flatnonzero(row) for h, row in zip(hub, nonzero)]
-    return _Prepared(comargin, hub, near)
+    nonzero[hub] = False
+    indptr = [0, *np.cumsum(np.count_nonzero(nonzero, axis=1)).tolist()]
+    indices = np.nonzero(nonzero)[1]
+    return _Prepared(comargin, hub.tolist(), indptr, indices)
 
 
 def _layout(sizes: list[int], kmax: int) -> tuple[int, np.ndarray, int | None]:
@@ -280,9 +293,13 @@ def local_search(
     target clusters, and the spare before and after.  A row whose kept
     best move is in one of them is rescored; any other row compares its
     kept best with those columns alone, the lower column winning a tie.
-    The move of a vertex with more than n/2 neighbours takes a full pass
-    instead; on a complete graph every move is of that kind.  Every pass
-    computes the same gains, so the moves are identical.
+    Rescoring costs more numpy calls per move than a full pass, so it
+    pays only where the live matrix is wide: a move takes the full pass
+    instead when the live matrix holds at most ``_NARROW`` margins (n
+    times the live width), as at the cluster cap on graphs of a thousand
+    vertices or so, or when the vertex moved is a hub, with more
+    than n/2 neighbours (on a complete graph every vertex is).  Every
+    pass computes the same gains, so the moves are identical.
 
     ``prepared`` is ``_prepare(graph)``, made here when not given.
     """
@@ -294,7 +311,7 @@ def local_search(
     if start.k > kmax:
         raise ContractViolation(f"start has {start.k} clusters, limit is {kmax}")
     # margin[v, c] = cost of v sitting in cluster c, up to a per-vertex constant
-    comargin, hub, near = prepared or _prepare(graph)
+    comargin, hub, indptr, indices = prepared or _prepare(graph)
 
     rows = np.arange(n)
     labels = start.assignment.astype(np.int64)
@@ -323,7 +340,10 @@ def local_search(
         if redo is None:
             current = margins.ravel(order="F")[own]
             gains = _gains(margins[:, :live], current, own, alone, barred, spare, "F")
-            v, target = divmod(int(gains.argmin()), live)
+            # the first row holding the least gain, then its first column:
+            # the row-major tie-break, without a row-major copy of the gains
+            v = int(gains.min(axis=1).argmin())
+            target = int(gains[v].argmin())
             gain = gains[v, target]
             best = None
         else:
@@ -358,13 +378,14 @@ def local_search(
             at = np.arange(redo.size)
             mine = labels[redo]
             part = _gains(
-                margins[redo, :live], margins[redo, mine], at * live + mine,
+                margins[redo, :live], margins.ravel(order="F")[own[redo]], at * live + mine,
                 alone[redo], barred, spare, "C",
             )
             cols = part.argmin(axis=1)
             arg[redo] = cols
             best[redo] = part[at, cols]
-            v = int(np.argmin(best))
+            # the method: np.argmin's wrapper costs more than this reduction
+            v = int(best.argmin())
             target = int(arg[v])
             gain = best[v]
         if not (gain < -tol):
@@ -397,10 +418,11 @@ def local_search(
             before = spare
             live, barred, spare = _layout(sizes, kmax)
             changed = sorted({before, spare, old if sizes[old] == 0 else target} - {None})
-        if hub[v]:
+        if hub[v] or n * live <= _NARROW:
             redo = None
         else:
-            redo = np.concatenate([near[v], *flipped]) if flipped else near[v]
+            near = indices[indptr[v] : indptr[v + 1]]
+            redo = np.concatenate([near, *flipped]) if flipped else near
         moves_done += 1
         if moves_done % n == 0:
             if best_err is None:

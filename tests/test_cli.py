@@ -320,6 +320,26 @@ def test_matrix_refuses_a_fractional_size(tmp_path, capsys, where, key, value):
     assert len(err.splitlines()) == 1 and f"{key} must be an integer" in err
 
 
+@pytest.mark.parametrize("key, value", [("n", 20.5), ("clusters", 2.5), ("seed", 1.5),
+                                        ("seed", True)])
+def test_matrix_refuses_an_instance_size_or_seed_that_is_not_an_integer(
+    tmp_path, capsys, key, value
+):
+    # each ran: n=20.5 failed every cell, clusters=2.5 planted 3 clusters
+    # and seed=1.5 ran seed 1's instance
+    instance = {"kind": "planted", "n": 8, "clusters": 2, "seed": 1, key: value}
+    cfg = {
+        "instances": [instance],
+        "epsilons": [1.0],
+        "pipelines": [{"mechanism": "unweighted-laplace", "merge": {"iterations": 40}}],
+    }
+    cfg_path = tmp_path / "matrix.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(["matrix", "--config", cfg_path, "--output", tmp_path / "r.csv"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and f"{key} must be an integer" in err
+
+
 @pytest.mark.parametrize("budget", ["0", "-1"])
 def test_release_refuses_budget_below_one(tmp_path, budget):
     g_path = tmp_path / "g.txt"

@@ -105,6 +105,17 @@ class TestGenerate:
         spec = InstanceSpec(kind="planted", n=4, clusters=4)
         assert generate_instance(spec)[1].k == 4
 
+    @pytest.mark.parametrize("key, value", [
+        ("n", 20.5), ("n", True), ("clusters", 2.5), ("clusters", 0), ("clusters", True),
+        ("seed", 1.5), ("seed", False),
+    ])
+    def test_sizes_and_seeds_must_be_integers(self, key, value):
+        # n=20.5 built a 20-vertex graph with a 21-vertex truth, clusters=2.5
+        # planted 3 clusters labelled k=2.5, and seed=1.5 drew seed 1's instance
+        spec = {"kind": "planted", "n": 20, "clusters": 4, key: value}
+        with pytest.raises(ContractViolation, match=key):
+            InstanceSpec(**spec)
+
     def test_file_roundtrip(self, tmp_path):
         from privcc.io import write_edge_list
 

@@ -363,6 +363,42 @@ class TestMerge:
         assert got.x.tobytes() == want.x.tobytes()
         assert (got.lam, got.iterations_run) == (want.lam, want.iterations_run)
 
+    def test_loop_stops_at_its_last_pick(self, monkeypatch):
+        # no pick scores a step past the last one, so the loop takes none:
+        # after the last pick every cut sum is the audit's.  300 iterations
+        # end on the resync schedule, where a last step would re-sum the family
+        noisy_p, noisy_m = self.planted_channels(48)
+        events = []
+        pick, sums, deviation = (release_unweighted_module._max_violation,
+                                 CutRows.sums, CutFamily.deviation)
+
+        def spy_pick(*args):
+            events.append("pick")
+            return pick(*args)
+
+        def spy_sums(self, matrix):
+            events.append("sums")
+            return sums(self, matrix)
+
+        def spy_deviation(self, *args, **kwargs):
+            events.append("audit")
+            out = deviation(self, *args, **kwargs)
+            events.append("audited")
+            return out
+
+        monkeypatch.setattr(release_unweighted_module, "_max_violation", spy_pick)
+        monkeypatch.setattr(CutRows, "sums", spy_sums)
+        monkeypatch.setattr(CutFamily, "deviation", spy_deviation)
+        sol = solve_merge_lp(noisy_p, noisy_m, None, make_rng(1), iterations=300)
+        assert (sol.iterations_run, sol.stop) == (300, "budget") and 300 % _RESYNC == 0
+        after = events[len(events) - events[::-1].index("pick"):]
+        assert after[0] == "audit" and after[-1] == "audited"
+        inside = 0
+        for event in after:
+            inside += {"audit": 1, "audited": -1}.get(event, 0)
+            assert event != "sums" or inside == 1
+        assert after.count("sums") > 0
+
     def test_shared_pairs_equal_cut_sums_of_pair_mask(self):
         # rows of every kind: overlapping S != T, S == T, disjoint and
         # complement; the count is exact, so equality is exact too

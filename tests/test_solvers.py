@@ -209,6 +209,9 @@ class TestLocalSearch:
                     expected = full_width_local_search(g, capped, cfg)
                     assert local_search(g, capped, cfg) == expected
 
+    def test_sparse_graphs_match_on_the_neighbour_path(self, neighbour_path):
+        self.test_sparse_graphs_match_full_width_reference()
+
     def test_off_grid_case_matches_full_width_reference(self):
         # the first graph of the test above, before it goes on the grid: with
         # its random start capped at 3 clusters, a reference whose first
@@ -224,10 +227,19 @@ class TestLocalSearch:
         assert local_search(g, capped, cfg) == full_width_local_search(g, capped, cfg)
 
     def test_opens_and_closes_match_full_width_reference(self, monkeypatch):
+        self.check_opens_and_closes(monkeypatch, neighbours=False)
+
+    def test_opens_and_closes_match_on_the_neighbour_path(self, monkeypatch, neighbour_path):
+        self.check_opens_and_closes(monkeypatch, neighbours=True)
+
+    @staticmethod
+    def check_opens_and_closes(monkeypatch, neighbours):
         # sparse graphs with no hub: singletons merge (moves close clusters),
         # and random labels both merge and split (moves open clusters too).
-        # After the first full pass no scoring call covers all n rows, and
-        # the layout is recomputed on opens and closes only.
+        # The layout is recomputed on opens and closes only.  On the
+        # neighbour path no scoring call after the first full pass covers
+        # all n rows; under the width rule these narrow searches score all
+        # n on every pass.
         import privcc.solvers as solvers
 
         scored, layouts = [], []
@@ -247,6 +259,7 @@ class TestLocalSearch:
             if trial % 2 == 0:
                 g = on_grid(g, 64)
             assert not any(solvers._prepare(g).hub)
+            assert neighbours or n * n <= solvers._NARROW
             starts = [
                 Clustering(np.arange(n)),
                 Clustering(rng.integers(0, n // 3, size=n)),
@@ -260,7 +273,10 @@ class TestLocalSearch:
                     scored.clear()
                     layouts.clear()
                     assert local_search(g, capped, cfg) == full_width_local_search(g, capped, cfg)
-                    assert scored[0] == n and max(scored[1:], default=0) < n
+                    if neighbours:
+                        assert scored[0] == n and max(scored[1:], default=0) < n
+                    else:
+                        assert set(scored) == {n}
                     opened_or_closed += len(layouts) - 1
             assert opened_or_closed > 10
 
@@ -281,6 +297,10 @@ class TestLocalSearch:
             start = Clustering(rng.integers(0, parts, size=n))
             cfg = SolverConfig()
             assert local_search(g, start, cfg) == full_width_local_search(g, start, cfg)
+
+    @pytest.mark.parametrize("seed", [9, 55])
+    def test_off_grid_opens_and_closes_match_on_the_neighbour_path(self, seed, neighbour_path):
+        self.test_off_grid_opens_and_closes_match_full_width_reference(seed)
 
     @pytest.mark.parametrize("seed", [342, 829])
     def test_rescores_vertices_whose_cluster_shrinks_to_one_or_grows_to_two(self, seed):
@@ -304,6 +324,69 @@ class TestLocalSearch:
             cfg = SolverConfig(max_clusters=kmax)
             assert local_search(g, start, cfg) == full_width_local_search(g, start, cfg)
 
+    @pytest.mark.parametrize("seed", [342, 829])
+    def test_rescores_on_the_neighbour_path(self, seed, neighbour_path):
+        self.test_rescores_vertices_whose_cluster_shrinks_to_one_or_grows_to_two(seed)
+
+    def test_capped_sparse_search_scores_every_row(self, monkeypatch):
+        # at the cap the live matrix is narrow, so every pass scores all n
+        # rows: the full pass costs fewer numpy calls than the rescoring
+        import privcc.solvers as solvers
+
+        scored = []
+        gains = solvers._gains
+        monkeypatch.setattr(
+            solvers, "_gains", lambda m, *a: scored.append(m.shape[0]) or gains(m, *a)
+        )
+        rng = make_rng(24)
+        n = 400
+        g = random_graph(rng, n, weighted=True, parallel=True, density=0.05)
+        assert not any(solvers._prepare(g).hub)
+        cfg = SolverConfig(max_clusters=5)
+        start = cap_clusters(pivot_kwikcluster(g, rng), 5)
+        out = local_search(g, start, cfg)
+        assert out == full_width_local_search(g, start, cfg)
+        assert len(scored) > 10 and set(scored) == {n}
+
+    def test_uncapped_wide_search_rescores_neighbours(self, monkeypatch):
+        # from singletons the live matrix is n wide, past the width rule,
+        # so moves of vertices that are not hubs rescore their neighbours
+        import privcc.solvers as solvers
+
+        scored = []
+        gains = solvers._gains
+        monkeypatch.setattr(
+            solvers, "_gains", lambda m, *a: scored.append(m.shape[0]) or gains(m, *a)
+        )
+        rng = make_rng(25)
+        n = 200
+        g = on_grid(random_graph(rng, n, weighted=True, parallel=True, density=0.05), 64)
+        assert not any(solvers._prepare(g).hub) and n * n > solvers._NARROW
+        start = Clustering(np.arange(n))
+        out = local_search(g, start)
+        assert out == full_width_local_search(g, start, SolverConfig())
+        assert scored[0] == n and sum(k < n for k in scored) > 10
+
+    def test_neighbour_slices_match_the_rows(self):
+        # each vertex that is not a hub keeps the sorted indices of itself and
+        # its nonzero-net neighbours; a hub keeps none
+        import privcc.solvers as solvers
+
+        rng = make_rng(26)
+        sparse = random_graph(rng, 40, weighted=True, parallel=True, density=0.2)
+        hubbed = with_hub(rng, random_graph(rng, 30, weighted=True, density=0.1))
+        complete = random_graph(rng, 20, complete=True)
+        for g in (sparse, hubbed, complete):
+            prepared = solvers._prepare(g)
+            nonzero = g.net_matrix() != 0
+            np.fill_diagonal(nonzero, True)
+            indptr, indices = prepared.indptr, prepared.indices
+            assert indptr[0] == 0 and indptr[-1] == indices.size
+            for v in range(g.n):
+                want = [] if prepared.hub[v] else np.flatnonzero(nonzero[v]).tolist()
+                assert indices[indptr[v] : indptr[v + 1]].tolist() == want
+        assert solvers._prepare(hubbed).hub[0] and all(solvers._prepare(complete).hub)
+
     def test_invariant_checks_survive_optimize(self):
         # five vertices that need five moves from one cluster, so the
         # monotonicity check runs once; a rising objective must trip it
@@ -323,6 +406,14 @@ class TestLocalSearch:
                               capture_output=True, text=True)
         assert proc.returncode != 0
         assert "AssertionError: local search must be monotone" in proc.stderr
+
+
+@pytest.fixture
+def neighbour_path(monkeypatch):
+    """Local search with the width rule off: only hub moves take the full pass."""
+    import privcc.solvers as solvers
+
+    monkeypatch.setattr(solvers, "_NARROW", 0)
 
 
 def on_grid(graph, steps):
